@@ -10,38 +10,16 @@ cd "$(dirname "$0")"
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
-# Chaos sweep: seeded fault-injection schedules against the live
-# queue/pool/cache/journal stack (examples/chaos_service.cpp). Each
+# Chaos sweep (examples/chaos.cpp): seeded schedules, each running the
+# service, net and overload legs and checking invariants 1-13. Each
 # invocation also proves seed-reproducibility by running its first seed
 # twice. $1 = binary, $2 = base seed, $3 = schedule count.
 run_chaos() {
   local scratch
   scratch="$(mktemp -d)"
   "$1" --chaos-seed="$2" --schedules="$3" --jobs=16 --scratch="${scratch}" \
-    | tail -3
+    | tail -5
   rm -rf "${scratch}"
-}
-
-# Connection-fault chaos against the live TCP front end
-# (examples/chaos_net.cpp): same contract as run_chaos, with the
-# workload-fingerprint reproducibility gate built into the binary.
-# $1 = binary, $2 = base seed, $3 = schedule count.
-run_net_chaos() {
-  local scratch
-  scratch="$(mktemp -d)"
-  "$1" --chaos-seed="$2" --schedules="$3" --sessions=6 \
-    --scratch="${scratch}" | tail -3
-  rm -rf "${scratch}"
-}
-
-# Overload-control chaos (examples/chaos_overload.cpp): seeded
-# schedules drilling invariants 11-13 — valid-or-typed under forced
-# sheds/brownouts/drained retry budget, bit-identical governor replay,
-# and goodput-monotone governor simulation. Reproducibility of the
-# first seed is built into the binary. $1 = binary, $2 = base seed,
-# $3 = schedule count.
-run_overload_chaos() {
-  "$1" --chaos-seed="$2" --schedules="$3" --jobs=16 | tail -3
 }
 
 # Graceful-drain drill: SIGTERM a TCP kanond while kanon_load is
@@ -182,6 +160,12 @@ cmake -B build -S . >/dev/null
 cmake --build build -j"${JOBS}"
 ctest --test-dir build --output-on-failure -j"${JOBS}"
 
+echo "=== tier-1 on one core: taskset -c 0 ==="
+# Ordering bugs that only show at some core counts (a drain racing the
+# event loop, a counter read before it moves) surface here, not at the
+# next re-anchor.
+taskset -c 0 ctest --test-dir build --output-on-failure -j"${JOBS}"
+
 echo "=== service smoke: kanond --once ==="
 # A scripted session through the daemon binary itself: a cold solve, an
 # identical repeat that must be served from the cache, and a malformed
@@ -276,13 +260,7 @@ echo "=== crash drill: SIGKILL with checkpointing armed, resume ==="
 run_ckpt_drill ./build/examples/kanond
 
 echo "=== chaos: 100 seeded schedules (default build) ==="
-run_chaos ./build/examples/chaos_service 1000 100
-
-echo "=== net chaos: 100 connection-fault schedules (default build) ==="
-run_net_chaos ./build/examples/chaos_net 1000 100
-
-echo "=== overload chaos: 100 seeded schedules (default build) ==="
-run_overload_chaos ./build/examples/chaos_overload 1000 100
+run_chaos ./build/examples/chaos 1000 100
 
 echo "=== tcp drain drill: SIGTERM under load loses nothing ==="
 run_tcp_drain_drill ./build/examples/kanond ./build/examples/kanon_load
@@ -476,15 +454,7 @@ ASAN_OPTIONS="abort_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
 
 echo "=== chaos: 100 seeded schedules under ASan ==="
 ASAN_OPTIONS="abort_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
-  run_chaos ./build-asan/examples/chaos_service 2000 100
-
-echo "=== net chaos: 100 connection-fault schedules under ASan ==="
-ASAN_OPTIONS="abort_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
-  run_net_chaos ./build-asan/examples/chaos_net 2000 100
-
-echo "=== overload chaos: 100 seeded schedules under ASan ==="
-ASAN_OPTIONS="abort_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
-  run_overload_chaos ./build-asan/examples/chaos_overload 2000 100
+  run_chaos ./build-asan/examples/chaos 2000 100
 
 echo "=== concurrency tests under TSan ==="
 # The service stack is where threads actually interleave (queue, worker
@@ -494,18 +464,10 @@ cmake -B build-tsan -S . -DKANON_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"${JOBS}"
 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir build-tsan --output-on-failure -j"${JOBS}" \
-    -R 'QueueTest|WorkerPoolTest|CancelRaceTest|ServerTest|ServerFuzzTest|BreakerTest|StageBreakerTest|JournalTest|JournalCheckpoint|WatchdogTest|WatchdogPoolTest|CheckpointStoreTest|FaultRegistryTest|ChaosTest|Parallel|DataPlaneEquivalenceTest|DistanceOracleTest|GroupStatsTest|PackedTableTest|TcpServerTest|NetChaosTest|FrameEnvelope|NetCodec|FrameFuzz|CoresetSamplerTest|CoresetAssignTest|CoresetAnonymizerTest|WeightedGroupStatsTest|ShardPlanTest|ShardMergeTest|ShardedAnonymizerTest|SolveTimeEstimatorTest|CoDelAdmissionTest|RetryBudgetTest|HealthGovernorTest|OverloadControlTest|OverloadIntegrationTest'
+    -R 'QueueTest|WorkerPoolTest|CancelRaceTest|ServerTest|ServerFuzzTest|BreakerTest|StageBreakerTest|JournalTest|JournalCheckpoint|WatchdogTest|WatchdogPoolTest|CheckpointStoreTest|FaultRegistryTest|ChaosTest|Parallel|DataPlaneEquivalenceTest|DistanceOracleTest|GroupStatsTest|PackedTableTest|TcpServerTest|FrameEnvelope|NetCodec|FrameFuzz|CoresetSamplerTest|CoresetAssignTest|CoresetAnonymizerTest|WeightedGroupStatsTest|ShardPlanTest|ShardMergeTest|ShardedAnonymizerTest|SolveTimeEstimatorTest|CoDelAdmissionTest|RetryBudgetTest|HealthGovernorTest|OverloadControlTest|OverloadIntegrationTest'
 
 echo "=== chaos: 100 seeded schedules under TSan ==="
 TSAN_OPTIONS="halt_on_error=1" \
-  run_chaos ./build-tsan/examples/chaos_service 3000 100
-
-echo "=== net chaos: 100 connection-fault schedules under TSan ==="
-TSAN_OPTIONS="halt_on_error=1" \
-  run_net_chaos ./build-tsan/examples/chaos_net 3000 100
-
-echo "=== overload chaos: 100 seeded schedules under TSan ==="
-TSAN_OPTIONS="halt_on_error=1" \
-  run_overload_chaos ./build-tsan/examples/chaos_overload 3000 100
+  run_chaos ./build-tsan/examples/chaos 3000 100
 
 echo "=== ci.sh: all green ==="

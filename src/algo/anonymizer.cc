@@ -18,7 +18,6 @@ AnonymizationResult Anonymizer::Run(const Table& table, size_t k) {
 
 void FinalizeResult(const Table& table, AnonymizationResult* result) {
   result->cost = PartitionCost(table, result->partition);
-  result->diameter_sum = DiameterSum(table, result->partition);
 }
 
 AnonymizationResult StoppedResult(const RunContext& ctx, double seconds,

@@ -38,8 +38,6 @@ struct AnonymizationResult {
   /// Stars inserted by the canonical suppressor of `partition` (the
   /// paper's objective value).
   size_t cost = 0;
-  /// Diameter sum of the partition (the surrogate objective of §4.1).
-  size_t diameter_sum = 0;
   /// Wall-clock seconds spent inside Run().
   double seconds = 0.0;
   /// Free-form counters (nodes explored, cover iterations, ...).
@@ -71,10 +69,10 @@ class Anonymizer {
   /// context `ctx` (never null). Requires 1 <= k <= table.num_rows() (a
   /// relation with n < k rows cannot be k-anonymized at all, per
   /// Definition 2.2). When the run completes, implementations return a
-  /// valid partition with all groups >= k and fill `cost`,
-  /// `diameter_sum` and `seconds`; when `ctx` stops the run they return
-  /// either a valid incumbent or an empty partition, with `termination`
-  /// set to the stop reason either way.
+  /// valid partition with all groups >= k and fill `cost` and `seconds`;
+  /// when `ctx` stops the run they return either a valid incumbent or an
+  /// empty partition, with `termination` set to the stop reason either
+  /// way.
   virtual AnonymizationResult Run(const Table& table, size_t k,
                                   RunContext* ctx) = 0;
 
@@ -88,11 +86,13 @@ class Anonymizer {
 AnonymizationResult ValidateResult(const Table& table, size_t k,
                                    AnonymizationResult result);
 
-/// Fills cost/diameter_sum of `result` from its partition.
+/// Fills `cost` of `result` from its partition in O(nm). The §4.1
+/// diameter sum is O(Σ|S|²·m), so it is not computed here; callers that
+/// study it call DiameterSum (core/cost.h).
 void FinalizeResult(const Table& table, AnonymizationResult* result);
 
 /// The "run stopped before any valid partition existed" result: empty
-/// partition, termination = ctx->stop_reason(), cost fields zero.
+/// partition, termination = ctx->stop_reason(), cost zero.
 AnonymizationResult StoppedResult(const RunContext& ctx, double seconds,
                                   std::string notes);
 

@@ -206,16 +206,19 @@ void NetServer::AcceptReady() {
     if (conns_.size() >= options_.max_connections) {
       // Typed over-limit rejection, best effort: one nonblocking write
       // of a connection_limit frame, then close. A peer that cannot
-      // take even that sees a plain close.
+      // take even that sees a plain close. The counter moves first: a
+      // peer that has read the frame may read the stats next.
+      {
+        std::lock_guard<std::mutex> lock(stats_mu_);
+        ++stats_.rejected_over_limit;
+      }
       const std::string frame = EncodeNetResponse(MakeNetError(
           NetVerb::kShutdown, 0, ServiceError::kConnectionLimit,
           "server at max_connections=" +
               std::to_string(options_.max_connections)));
-      ssize_t ignored = write(fd, frame.data(), frame.size());
+      ssize_t ignored = send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
       (void)ignored;
       close(fd);
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.rejected_over_limit;
       continue;
     }
     const int enable = 1;
@@ -414,16 +417,18 @@ void NetServer::HandleWritable(Connection& conn) {
   if (conn.pending_out() > 0 && KANON_FAULT_POINT("net.close_mid_frame")) {
     const size_t half = conn.pending_out() / 2;
     if (half > 0) {
-      ssize_t ignored =
-          write(conn.fd, conn.outbuf.data() + conn.out_offset, half);
+      ssize_t ignored = send(conn.fd, conn.outbuf.data() + conn.out_offset,
+                             half, MSG_NOSIGNAL);
       (void)ignored;
     }
     DestroyConnection(conn);
     return;
   }
+  // Socket writes use MSG_NOSIGNAL: a peer that has already closed is an
+  // EPIPE handled below, not a SIGPIPE that ends the process.
   while (conn.pending_out() > 0) {
-    const ssize_t n = write(conn.fd, conn.outbuf.data() + conn.out_offset,
-                            conn.pending_out());
+    const ssize_t n = send(conn.fd, conn.outbuf.data() + conn.out_offset,
+                           conn.pending_out(), MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       if (errno == EINTR) continue;

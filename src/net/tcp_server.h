@@ -36,7 +36,7 @@
 ///     closing  (flush outbuf, then close)
 ///
 /// Robustness properties, each enforced here and checked by the chaos
-/// harness (net/net_chaos.h):
+/// harness's net leg (chaos/chaos.h):
 ///   - *Bounded everything*: connection count, input buffer (one frame
 ///     cap), output buffer, and in-flight jobs per connection are all
 ///     capped; past each cap the server rejects/pauses, never buffers.

@@ -1,5 +1,6 @@
 #include "net/tcp_server.h"
 
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -185,6 +186,38 @@ TEST_F(TcpServerTest, OverLimitConnectGetsTypedRejection) {
 
   // The registered connection is unaffected.
   EXPECT_TRUE(first.Call(Anonymize(2)).ok());
+}
+
+TEST_F(TcpServerTest, PeerGoneBeforeItsResponsesDoesNotKillTheServer) {
+  StartServer();
+  // Two pipelined jobs that finish apart, then the client closes. The
+  // first response draws an RST from the closed peer; writing the
+  // second must fail with EPIPE, not raise a process-ending SIGPIPE.
+  std::string large = "a,b\n";
+  for (int i = 0; i < 2000; ++i) {
+    large += std::to_string(i % 7) + "," + std::to_string(i % 11) + "\n";
+  }
+  NetRequest slow = Anonymize(2, 3);
+  slow.request.algorithm = "mdav";
+  slow.request.csv_text = large;
+  {
+    NetClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+    ASSERT_TRUE(client.Send(Anonymize(1)).ok());
+    ASSERT_TRUE(client.Send(slow).ok());
+  }
+  for (int i = 0; i < 1000; ++i) {
+    const NetServerStats stats = server_->stats();
+    if (stats.responses_delivered + stats.responses_dropped == 2) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const NetServerStats stats = server_->stats();
+  EXPECT_EQ(stats.jobs_submitted, 2u);
+  EXPECT_EQ(stats.responses_delivered + stats.responses_dropped, 2u);
+  // Still serving.
+  NetClient next;
+  ASSERT_TRUE(next.Connect("127.0.0.1", server_->port()).ok());
+  EXPECT_TRUE(next.Call(Anonymize(3)).ok());
 }
 
 TEST_F(TcpServerTest, SlowLorisPartialFrameTimesOutTyped) {
