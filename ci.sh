@@ -197,6 +197,14 @@ grep -q 'unknown flag --workres' "${TMPDIR:-/tmp}/kanond_flag.err" \
 grep -q 'usage: kanond' "${TMPDIR:-/tmp}/kanond_flag.err" \
   || { echo "smoke FAIL: no usage message on unknown flag" >&2; exit 1; }
 rm -f "${TMPDIR:-/tmp}/kanond_flag.err"
+# A malformed value must not silently become the default (here: no
+# watchdog at all).
+if ./build/examples/kanond --once --watchdog-ms=5OO </dev/null >/dev/null 2>"${TMPDIR:-/tmp}/kanond_flag.err"; then
+  echo "smoke FAIL: kanond accepted --watchdog-ms=5OO" >&2; exit 1
+fi
+grep -q 'watchdog-ms=5OO is not a finite number' "${TMPDIR:-/tmp}/kanond_flag.err" \
+  || { echo "smoke FAIL: no diagnostic for --watchdog-ms=5OO" >&2; exit 1; }
+rm -f "${TMPDIR:-/tmp}/kanond_flag.err"
 
 echo "=== robustness smoke: injected worker fault + stats counters ==="
 # A deterministic first:1 dispatch fault kills the worker on its first
@@ -464,7 +472,7 @@ cmake -B build-tsan -S . -DKANON_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"${JOBS}"
 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir build-tsan --output-on-failure -j"${JOBS}" \
-    -R 'QueueTest|WorkerPoolTest|CancelRaceTest|ServerTest|ServerFuzzTest|BreakerTest|StageBreakerTest|JournalTest|JournalCheckpoint|WatchdogTest|WatchdogPoolTest|CheckpointStoreTest|FaultRegistryTest|ChaosTest|Parallel|DataPlaneEquivalenceTest|DistanceOracleTest|GroupStatsTest|PackedTableTest|TcpServerTest|FrameEnvelope|NetCodec|FrameFuzz|CoresetSamplerTest|CoresetAssignTest|CoresetAnonymizerTest|WeightedGroupStatsTest|ShardPlanTest|ShardMergeTest|ShardedAnonymizerTest|SolveTimeEstimatorTest|CoDelAdmissionTest|RetryBudgetTest|HealthGovernorTest|OverloadControlTest|OverloadIntegrationTest'
+    -R 'MetricsRegistryTest|QueueTest|WorkerPoolTest|CancelRaceTest|ServerTest|ServerFuzzTest|BreakerTest|StageBreakerTest|JournalTest|JournalCheckpoint|WatchdogTest|WatchdogPoolTest|CheckpointStoreTest|FaultRegistryTest|ChaosTest|Parallel|DataPlaneEquivalenceTest|DistanceOracleTest|GroupStatsTest|PackedTableTest|TcpServerTest|FrameEnvelope|NetCodec|FrameFuzz|CoresetSamplerTest|CoresetAssignTest|CoresetAnonymizerTest|WeightedGroupStatsTest|ShardPlanTest|ShardMergeTest|ShardedAnonymizerTest|SolveTimeEstimatorTest|CoDelAdmissionTest|RetryBudgetTest|HealthGovernorTest|OverloadControlTest|OverloadIntegrationTest'
 
 echo "=== chaos: 100 seeded schedules under TSan ==="
 TSAN_OPTIONS="halt_on_error=1" \

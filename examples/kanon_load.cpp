@@ -373,16 +373,25 @@ int main(int argc, char** argv) {
   }
   const std::string host = cl.GetString("host", "127.0.0.1");
   const std::string out_path = cl.GetString("out", "BENCH_service.json");
-  const double deadline_ms = cl.GetDouble("deadline-ms", 0.0);
-  const double overload_target = cl.GetDouble("overload-target-ms", 0.0);
-  const double retry_ratio = cl.GetDouble("retry-budget-ratio", 0.1);
-  const std::string brownout = cl.GetString("brownout", "");
-  if (deadline_ms < 0.0 || overload_target < 0.0 || retry_ratio < 0.0 ||
-      retry_ratio > 1.0) {
-    std::cerr << "error: --deadline-ms/--overload-target-ms must be >= 0 "
-                 "and --retry-budget-ratio in [0, 1]\n";
-    return 1;
+  // Millisecond flags become steady-clock durations; the cap keeps that
+  // conversion far from overflow.
+  constexpr double kMaxMillis = 1e9;
+  const StatusOr<double> deadline_flag =
+      cl.GetValidatedDouble("deadline-ms", 0.0, 0.0, kMaxMillis);
+  const StatusOr<double> overload_flag =
+      cl.GetValidatedDouble("overload-target-ms", 0.0, 0.0, kMaxMillis);
+  const StatusOr<double> retry_flag =
+      cl.GetValidatedDouble("retry-budget-ratio", 0.1, 0.0, 1.0);
+  for (const auto* flag : {&deadline_flag, &overload_flag, &retry_flag}) {
+    if (!flag->ok()) {
+      std::cerr << "error: " << flag->status().message() << "\n";
+      return 1;
+    }
   }
+  const double deadline_ms = *deadline_flag;
+  const double overload_target = *overload_flag;
+  const double retry_ratio = *retry_flag;
+  const std::string brownout = cl.GetString("brownout", "");
   if (!brownout.empty() && brownout != "off" && brownout != "auto") {
     std::cerr << "error: --brownout must be off or auto\n";
     return 1;
@@ -485,6 +494,8 @@ int main(int argc, char** argv) {
   json.precision(3);
   json << std::fixed;
   json << "{\n"
+       << "  \"build\": \"" << BuildInfoString() << "\",\n"
+       << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n"
        << "  \"connections\": " << *connections << ",\n"
        << "  \"mode\": \""
        << (target_rps.empty() ? "closed_loop" : "open_loop") << "\",\n"

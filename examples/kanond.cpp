@@ -104,6 +104,10 @@ void HandleDrainSignal(int) {
   if (g_tcp_server != nullptr) g_tcp_server->RequestDrain();
 }
 
+// Every millisecond flag ends up in a steady-clock duration; this cap
+// (about 11.6 days) keeps that conversion far from overflow.
+constexpr double kMaxMillis = 1e9;
+
 constexpr char kUsage[] =
     "usage: kanond [--workers=N] [--queue-capacity=N] [--cache-capacity=N]\n"
     "              [--journal=PATH] [--checkpoint-dir=PATH]\n"
@@ -174,13 +178,25 @@ int main(int argc, char** argv) {
   options.queue_capacity = static_cast<size_t>(values[1]);
   options.cache_capacity = static_cast<size_t>(values[2]);
   options.checkpoint_every_polls = static_cast<uint64_t>(values[3]);
-  options.checkpoint_every_ms = cl.GetDouble("checkpoint-ms", 0.0);
-  options.watchdog_stall_ms = cl.GetDouble("watchdog-ms", 0.0);
-  if (options.checkpoint_every_ms < 0.0 || options.watchdog_stall_ms < 0.0) {
-    std::cerr << "error: --checkpoint-ms and --watchdog-ms must be >= 0 "
-                 "(0 disarms)\n";
-    return 1;
-  }
+
+  // 0 disarms each millisecond flag.
+  bool doubles_ok = true;
+  const auto double_flag = [&](const char* name, double fallback,
+                               double max = kMaxMillis) {
+    const StatusOr<double> flag =
+        cl.GetValidatedDouble(name, fallback, 0.0, max);
+    if (flag.ok()) return *flag;
+    std::cerr << "error: " << flag.status().message() << "\n";
+    doubles_ok = false;
+    return fallback;
+  };
+  options.checkpoint_every_ms = double_flag("checkpoint-ms", 0.0);
+  options.watchdog_stall_ms = double_flag("watchdog-ms", 0.0);
+  const double overload_target = double_flag("overload-target-ms", 0.0);
+  const double retry_ratio = double_flag("retry-budget-ratio", 0.1, 1.0);
+  const double tcp_idle_ms = double_flag("tcp-idle-ms", 0.0);
+  const double tcp_drain_ms = double_flag("tcp-drain-ms", 2000.0);
+  if (!doubles_ok) return 1;
 
   // Overload plane: --overload-target-ms (or an explicit --brownout)
   // arms it; --brownout=off keeps admission control but pins the
@@ -188,16 +204,6 @@ int main(int argc, char** argv) {
   const std::string brownout = cl.GetString("brownout", "");
   if (!brownout.empty() && brownout != "off" && brownout != "auto") {
     std::cerr << "error: --brownout must be off or auto\n";
-    return 1;
-  }
-  const double overload_target = cl.GetDouble("overload-target-ms", 0.0);
-  const double retry_ratio = cl.GetDouble("retry-budget-ratio", 0.1);
-  if (overload_target < 0.0) {
-    std::cerr << "error: --overload-target-ms must be >= 0 (0 disarms)\n";
-    return 1;
-  }
-  if (retry_ratio < 0.0 || retry_ratio > 1.0) {
-    std::cerr << "error: --retry-budget-ratio must be in [0, 1]\n";
     return 1;
   }
   if (overload_target > 0.0 || !brownout.empty()) {
@@ -292,12 +298,8 @@ int main(int argc, char** argv) {
     NetServerOptions net;
     net.port = static_cast<uint16_t>(*tcp_port);
     net.max_connections = static_cast<size_t>(*tcp_max_conns);
-    net.idle_timeout_ms = cl.GetDouble("tcp-idle-ms", 0.0);
-    net.drain_grace_ms = cl.GetDouble("tcp-drain-ms", 2000.0);
-    if (net.idle_timeout_ms < 0.0 || net.drain_grace_ms < 0.0) {
-      std::cerr << "error: --tcp-idle-ms and --tcp-drain-ms must be >= 0\n";
-      return 1;
-    }
+    net.idle_timeout_ms = tcp_idle_ms;
+    net.drain_grace_ms = tcp_drain_ms;
     NetServer tcp(service, net);
     const Status started = tcp.Start();
     if (!started.ok()) {

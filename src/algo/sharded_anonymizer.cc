@@ -9,11 +9,11 @@
 #include <vector>
 
 #include "algo/shard_merge.h"
-#include "algo/shard_metrics.h"
 #include "ckpt/checkpoint.h"
 #include "core/partition.h"
 #include "fault/fault.h"
 #include "util/logging.h"
+#include "util/metrics.h"
 #include "util/parallel.h"
 #include "util/timer.h"
 
@@ -160,7 +160,8 @@ AnonymizationResult ShardedAnonymizer::Run(const Table& table, size_t k,
   }
   const ShardPlan& plan = planned.value();
   const size_t num_shards = plan.num_shards();
-  ShardMetrics::Instance().RecordPlan(num_shards);
+  ctx->Count(Counter::kShardPlans);
+  ctx->Count(Counter::kShardsPlanned, num_shards);
   if (num_shards <= 1) {
     AnonymizationResult direct = proto_->Run(table, k, ctx);
     direct.notes = "sharded=direct(shards<=1) [" + direct.notes + "]";
@@ -177,7 +178,7 @@ AnonymizationResult ShardedAnonymizer::Run(const Table& table, size_t k,
     if (DecodeWrapperState(*payload, options_fp, n, k, plan, &loaded)) {
       state = std::move(loaded);
       resumed = true;
-      ShardMetrics::Instance().RecordResume();
+      ctx->Count(Counter::kShardResumed);
     }
   }
 
@@ -208,7 +209,7 @@ AnonymizationResult ShardedAnonymizer::Run(const Table& table, size_t k,
     if (KANON_FAULT_POINT("shard.solve")) {
       shard_stop[i] = StopReason::kBudget;
       failed.store(true, std::memory_order_relaxed);
-      ShardMetrics::Instance().RecordShardDecline();
+      ctx->Count(Counter::kShardDeclines);
       return;
     }
     const Group& rows = plan.shards[i];
@@ -230,7 +231,7 @@ AnonymizationResult ShardedAnonymizer::Run(const Table& table, size_t k,
     if (!mem.ok()) {
       shard_stop[i] = StopReason::kBudget;
       failed.store(true, std::memory_order_relaxed);
-      ShardMetrics::Instance().RecordShardDecline();
+      ctx->Count(Counter::kShardDeclines);
       return;
     }
     std::unique_ptr<Anonymizer> inner = factory_();
@@ -246,10 +247,10 @@ AnonymizationResult ShardedAnonymizer::Run(const Table& table, size_t k,
                           ? child.stop_reason()
                           : StopReason::kBudget;
       failed.store(true, std::memory_order_relaxed);
-      ShardMetrics::Instance().RecordShardDecline();
+      ctx->Count(Counter::kShardDeclines);
       return;
     }
-    ShardMetrics::Instance().RecordShardSolve();
+    ctx->Count(Counter::kShardSolves);
     std::lock_guard<std::mutex> lock(state_mu);
     state.done[i] = 1;
     state.partitions[i] = std::move(r.partition);
@@ -328,7 +329,8 @@ AnonymizationResult ShardedAnonymizer::Run(const Table& table, size_t k,
         "declined: " + std::string(merged.status().message()));
   }
   ShardMergeOutcome& outcome = merged.value();
-  ShardMetrics::Instance().RecordMerge(outcome.repair_merges);
+  ctx->Count(Counter::kShardMerges);
+  ctx->Count(Counter::kShardRepairs, outcome.repair_merges);
 
   AnonymizationResult result;
   result.partition = std::move(outcome.partition);

@@ -113,6 +113,14 @@ uint64_t SiteFires(const std::string& name) {
   return 0;
 }
 
+uint64_t FoldMetrics(uint64_t fp, const Metrics& metrics) {
+  for (const CounterKey& key : kCounterKeys) {
+    fp = FingerprintPiece(fp, key.name);
+    fp = FingerprintInt(fp, metrics.Get(key.counter));
+  }
+  return fp;
+}
+
 namespace {
 
 uint64_t FoldOutcome(uint64_t fp, const AnonymizeResponse& response) {
@@ -171,8 +179,7 @@ JobBatch SubmitJobs(JobQueue* queue, size_t jobs,
 std::vector<AnonymizeResponse> CollectJobs(JobQueue* queue,
                                            ResultCache* cache,
                                            WorkerPoolOptions pool_options,
-                                           JobBatch* batch, const Leg& leg,
-                                           WorkerPool::Counters* counters) {
+                                           JobBatch* batch, const Leg& leg) {
   pool_options.workers = 1;
   pool_options.retry =
       RetryPolicy{.max_attempts = 3, .base_ms = 0.01, .cap_ms = 0.1};
@@ -222,7 +229,6 @@ std::vector<AnonymizeResponse> CollectJobs(JobQueue* queue,
     responses.push_back(std::move(response));
   }
   pool.Join();
-  *counters = pool.counters();
   if (leg.report->requests != leg.report->ok + leg.report->typed) {
     leg.Violation(leg.invariant,
                   "ledger: submitted=" + std::to_string(leg.report->requests) +

@@ -9,12 +9,13 @@
 /// Seeded chaos schedules against the live serving stack.
 ///
 /// One schedule = one seed, run as three legs one after another, in a
-/// fixed order (the FaultRegistry, CoresetMetrics and ShardMetrics are
-/// process-wide). Each leg draws its own fault plan and workload from
-/// the seed. Every OK answer in every leg passes one answer oracle, the
-/// paper's suppressor model: the answer parses as CSV, has the request's
-/// shape and header, every cell is the input's or `*`, it is
-/// k-anonymous, and its star count equals the reported cost.
+/// fixed order (the FaultRegistry is process-wide). Each leg draws its
+/// own fault plan and workload from the seed, and builds its own stack,
+/// whose counter registry (util/metrics.h) starts at zero. Every OK
+/// answer in every leg passes one answer oracle, the paper's suppressor
+/// model: the answer parses as CSV, has the request's shape and header,
+/// every cell is the input's or `*`, it is k-anonymous, and its star
+/// count equals the reported cost.
 ///
 /// **Service leg** — a JobQueue + one-worker WorkerPool + ResultCache +
 /// JobJournal + CheckpointStore + Watchdog, with faults at the solver,
@@ -69,9 +70,11 @@
 /// 1, submit every job before their one worker starts, use node budgets
 /// instead of wall-clock deadlines, and keep breakers open and the
 /// organic overload thresholds out of reach, so their outcomes are a
-/// pure function of the seed. The net leg's socket interleaving is not
-/// deterministic; its digest covers the generated workload and fault
-/// plan only. Same seed => same `fingerprint`, on any machine.
+/// pure function of the seed; their digests fold every answer, the
+/// fault ledger and every counter of the stack's registry. The net
+/// leg's socket interleaving is not deterministic; its digest covers
+/// the generated workload and fault plan only. Same seed => same
+/// `fingerprint`, on any machine.
 
 namespace kanon {
 

@@ -10,6 +10,7 @@
 #include "data/table.h"
 #include "service/queue.h"
 #include "service/worker_pool.h"
+#include "util/metrics.h"
 #include "util/random.h"
 
 /// \file
@@ -53,6 +54,10 @@ uint64_t FoldFaultLedger(uint64_t fp);
 /// Fires of fault site `name` under the armed plan.
 uint64_t SiteFires(const std::string& name);
 
+/// Folds every counter of util/metrics.h's list (name and count) into
+/// `fp`.
+uint64_t FoldMetrics(uint64_t fp, const Metrics& metrics);
+
 /// The jobs a leg submits to its queue, all before its worker starts.
 struct JobBatch {
   /// Admitted (prepared) requests and their tickets, in order.
@@ -71,12 +76,11 @@ JobBatch SubmitJobs(JobQueue* queue, size_t jobs,
 /// Starts a one-worker pool over `queue` (fixed retry and breaker
 /// policy on top of `pool_options`), closes the queue, checks and folds
 /// every answer of `batch`, and joins the pool. Returns the answers in
-/// ticket order; `*counters` gets the pool's counters.
+/// ticket order; the pool's counts are in `queue->metrics()`.
 std::vector<AnonymizeResponse> CollectJobs(JobQueue* queue,
                                            ResultCache* cache,
                                            WorkerPoolOptions pool_options,
-                                           JobBatch* batch, const Leg& leg,
-                                           WorkerPool::Counters* counters);
+                                           JobBatch* batch, const Leg& leg);
 
 /// Invariants 1-6 and 10.
 void RunServiceLeg(const ChaosOptions& options, const Leg& leg);

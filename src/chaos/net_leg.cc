@@ -404,12 +404,13 @@ void RunNetLeg(const ChaosOptions& options, const Leg& leg) {
                          std::to_string(stats.responses_dropped));
   }
 
-  const ServiceStats service_stats = service.Stats();
-  if (service_stats.accepted != service_stats.completed) {
+  const Metrics& metrics = service.metrics();
+  const uint64_t accepted = metrics.Get(Counter::kAccepted);
+  const uint64_t completed = metrics.Get(Counter::kCompleted);
+  if (accepted != completed) {
     leg.Violation(8, "queue/pool ledgers disagree: accepted=" +
-                         std::to_string(service_stats.accepted) +
-                         " completed=" +
-                         std::to_string(service_stats.completed));
+                         std::to_string(accepted) +
+                         " completed=" + std::to_string(completed));
   }
 
   // The journal replays, and every admitted job has a durable outcome

@@ -302,13 +302,11 @@ void CheckForcedOverload(const ChaosOptions& options, const Leg& leg) {
   ResultCache cache(16);
 
   JobBatch batch = SubmitJobs(&queue, options.jobs, kAlgorithms, &rng, leg);
-  WorkerPool::Counters workers;
   const std::vector<AnonymizeResponse> responses = CollectJobs(
-      &queue, &cache, {.overload = &overload}, &batch, leg, &workers);
-  fp = FingerprintInt(fp, workers.brownouts);
-  fp = FingerprintInt(fp, workers.retries_attempted);
-  fp = FingerprintInt(fp, workers.retries_exhausted);
-  fp = FingerprintInt(fp, workers.retry_budget_degraded);
+      &queue, &cache, {.overload = &overload}, &batch, leg);
+  const Metrics& metrics = queue.metrics();
+  const uint64_t brownouts = metrics.Get(Counter::kOverloadBrownouts);
+  fp = FoldMetrics(fp, metrics);
   leg.report->fires = FaultRegistry::Instance().TotalFires();
   fp = FoldFaultLedger(fp);
 
@@ -329,25 +327,21 @@ void CheckForcedOverload(const ChaosOptions& options, const Leg& leg) {
                     [](const AnonymizeRequest& r) {
                       return YellowRewritable(r.algorithm);
                     }));
-  if (brownout_every_job && workers.brownouts != rewritable) {
+  if (brownout_every_job && brownouts != rewritable) {
     leg.Violation(11, "brownout reconciliation failed: " +
-                          std::to_string(workers.brownouts) +
-                          " rewrites vs " + std::to_string(rewritable) +
+                          std::to_string(brownouts) + " rewrites vs " +
+                          std::to_string(rewritable) +
                           " rewritable admitted jobs");
   }
   const auto stamped = static_cast<uint64_t>(std::count_if(
       responses.begin(), responses.end(), [](const AnonymizeResponse& r) {
         return r.ok() && r.brownout > 0;
       }));
-  if (stamped > workers.brownouts) {
+  if (stamped > brownouts) {
     leg.Violation(11, "more brownout-stamped answers (" +
                           std::to_string(stamped) + ") than pool rewrites (" +
-                          std::to_string(workers.brownouts) + ")");
+                          std::to_string(brownouts) + ")");
   }
-  const OverloadCounters counters = overload.counters();
-  fp = FingerprintInt(fp, counters.shed);
-  fp = FingerprintInt(fp, counters.brownouts);
-  fp = FingerprintInt(fp, counters.retry_denied);
 }
 
 }  // namespace

@@ -7,10 +7,8 @@
 #include <sstream>
 #include <utility>
 
-#include "algo/shard_metrics.h"
 #include "chaos/legs.h"
 #include "ckpt/checkpoint.h"
-#include "coreset/metrics.h"
 #include "fault/fault.h"
 #include "service/journal.h"
 #include "service/watchdog.h"
@@ -178,10 +176,6 @@ void AuditSnapshots(CheckpointStore& store, const JobBatch& batch,
 void RunServiceLeg(const ChaosOptions& options, const Leg& leg) {
   Rng rng(options.seed, /*stream=*/0x6368616f73ull);  // "chaos"
   uint64_t& fp = leg.report->digest;
-  // Coreset/shard counters are process-wide; reset so the digest
-  // reflects only this leg's activity.
-  CoresetMetrics::Instance().Reset();
-  ShardMetrics::Instance().Reset();
 
   // Disarmed (reset) before the invariant 4-6 audit, so snapshot loads
   // and resume re-runs see a quiet fault layer.
@@ -215,38 +209,22 @@ void RunServiceLeg(const ChaosOptions& options, const Leg& leg) {
   }
   // A tight poll cadence so short jobs still emit snapshots, kept on
   // completion so invariants 4 and 5 can examine them afterwards.
-  WorkerPool::Counters workers;
   const std::vector<AnonymizeResponse> responses = CollectJobs(
       &queue, &cache,
       {.checkpoints = &store,
        .checkpoint_every_polls = 2,
        .keep_checkpoints = true,
        .watchdog = &watchdog},
-      &batch, leg, &workers);
+      &batch, leg);
 
-  // Checkpoint emission is poll-counted, preemptions follow the fault
+  // Admission follows the seeded submit order, retries and checkpoint
+  // emission are hit- and poll-counted, preemptions follow the fault
   // plan, and coreset and shard activity is seed-deterministic under
-  // the pinned schedule, so all of it belongs in the digest.
+  // the pinned schedule, so the whole registry belongs in the digest.
   leg.report->fires = FaultRegistry::Instance().TotalFires();
   const uint64_t stall_fires = SiteFires("worker.stall");
   fp = FoldFaultLedger(fp);
-  fp = FingerprintInt(fp, workers.checkpoints_written);
-  fp = FingerprintInt(fp, workers.checkpoint_failures);
-  fp = FingerprintInt(fp, workers.watchdog_preempted);
-  const CoresetMetricsSnapshot coreset =
-      CoresetMetrics::Instance().Snapshot();
-  for (const uint64_t n :
-       {coreset.sample_runs, coreset.samples_drawn, coreset.assigned_rows,
-        coreset.repair_merges, coreset.repair_suppressed, coreset.resumed}) {
-    fp = FingerprintInt(fp, n);
-  }
-  const ShardMetricsSnapshot shard = ShardMetrics::Instance().Snapshot();
-  for (const uint64_t n :
-       {shard.plans, shard.shards_planned, shard.shard_solves,
-        shard.shard_declines, shard.merges, shard.repair_merges,
-        shard.resumed}) {
-    fp = FingerprintInt(fp, n);
-  }
+  fp = FoldMetrics(fp, queue.metrics());
 
   journal.reset();  // close the fd before reading
   const StatusOr<JournalReplay> replay = JobJournal::ReplayFile(journal_path);
@@ -263,18 +241,18 @@ void RunServiceLeg(const ChaosOptions& options, const Leg& leg) {
 
   // Invariant 6: one watchdog trip, one pool counter bump and one typed
   // answer per stall fire; slow-but-heartbeating jobs add to none.
+  const uint64_t pool_preempted =
+      queue.metrics().Get(Counter::kWatchdogPreempted);
   const uint64_t preempted_answers = static_cast<uint64_t>(std::count_if(
       responses.begin(), responses.end(), [](const AnonymizeResponse& r) {
         return r.error == ServiceError::kWatchdogPreempted;
       }));
-  if (watchdog.preemptions() != stall_fires ||
-      workers.watchdog_preempted != stall_fires ||
+  if (watchdog.preemptions() != stall_fires || pool_preempted != stall_fires ||
       preempted_answers != stall_fires) {
     leg.Violation(6, "stall fires=" + std::to_string(stall_fires) +
                          " preemptions=" +
                          std::to_string(watchdog.preemptions()) +
-                         " pool counter=" +
-                         std::to_string(workers.watchdog_preempted) +
+                         " pool counter=" + std::to_string(pool_preempted) +
                          " typed answers=" +
                          std::to_string(preempted_answers));
   }

@@ -6,8 +6,8 @@
 #include "ckpt/checkpoint.h"
 #include "core/partition.h"
 #include "coreset/assign.h"
-#include "coreset/metrics.h"
 #include "util/logging.h"
+#include "util/metrics.h"
 #include "util/timer.h"
 
 namespace kanon {
@@ -123,7 +123,7 @@ AnonymizationResult CoresetAnonymizer::Run(const Table& table, size_t k,
     if (DecodeWrapperState(*payload, options_fp, n, k, target, &loaded)) {
       state = std::move(loaded);
       resumed = true;
-      CoresetMetrics::Instance().RecordResume();
+      ctx->Count(Counter::kCoresetResumed);
     }
   }
 
@@ -140,7 +140,8 @@ AnonymizationResult CoresetAnonymizer::Run(const Table& table, size_t k,
     }
     state.sample = std::move(drawn.value());
     state.phase = 1;
-    CoresetMetrics::Instance().RecordSample(state.sample.rows.size());
+    ctx->Count(Counter::kCoresetSamples);
+    ctx->Count(Counter::kCoresetRowsSampled, state.sample.rows.size());
     if (ctx->CheckpointDue()) {
       (void)ctx->EmitCheckpoint(
           name(), EncodeWrapperState(options_fp, n, k, state));
@@ -204,8 +205,11 @@ AnonymizationResult CoresetAnonymizer::Run(const Table& table, size_t k,
         "declined: " + std::string(assigned.status().message()));
   }
   AssignmentOutcome& outcome = assigned.value();
-  CoresetMetrics::Instance().RecordAssignment(n, outcome.repair_merges,
-                                              outcome.repair_suppressed);
+  ctx->Count(Counter::kCoresetAssignedRows, n);
+  ctx->Count(Counter::kCoresetRepairs, outcome.repair_merges);
+  if (outcome.repair_suppressed) {
+    ctx->Count(Counter::kCoresetRepairSuppressed);
+  }
 
   AnonymizationResult result;
   result.partition = std::move(outcome.partition);

@@ -22,15 +22,8 @@ double OverloadControl::SteadyNowMillis() {
 bool OverloadControl::ShouldShed(double now_ms) {
   // The injected shed fires regardless of CoDel state so a chaos plan
   // can exercise the typed rejection deterministically.
-  if (KANON_FAULT_POINT("overload.shed")) {
-    shed_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  if (codel_.ShouldShed(now_ms)) {
-    shed_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  return false;
+  if (KANON_FAULT_POINT("overload.shed")) return true;
+  return codel_.ShouldShed(now_ms);
 }
 
 void OverloadControl::OnDequeue(double sojourn_ms, double now_ms,
@@ -51,17 +44,10 @@ void OverloadControl::OnDequeue(double sojourn_ms, double now_ms,
 
 bool OverloadControl::DeadlineInfeasible(const std::string& backend,
                                          double remaining_ms) {
-  if (remaining_ms < 0.0) {
-    // Already past the deadline: any solve work is wasted.
-    deadline_infeasible_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
+  // Already past the deadline: any solve work is wasted.
+  if (remaining_ms < 0.0) return true;
   const double optimistic = estimator_.OptimisticMillis(backend);
-  if (optimistic > 0.0 && remaining_ms < optimistic) {
-    deadline_infeasible_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  return false;
+  return optimistic > 0.0 && remaining_ms < optimistic;
 }
 
 RewriteDecision OverloadControl::MaybeRewrite(
@@ -74,19 +60,10 @@ RewriteDecision OverloadControl::MaybeRewrite(
   const BrownoutLevel force = KANON_FAULT_POINT("overload.brownout")
                                   ? BrownoutLevel::kYellow
                                   : BrownoutLevel::kGreen;
-  RewriteDecision decision =
-      governor_.Decide(job_id, algorithm, requested_coreset_rate, force);
-  if (decision.rewritten) {
-    brownouts_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return decision;
+  return governor_.Decide(job_id, algorithm, requested_coreset_rate, force);
 }
 
-bool OverloadControl::AllowRetry() {
-  if (retry_budget_.TryWithdraw()) return true;
-  retry_denied_.fetch_add(1, std::memory_order_relaxed);
-  return false;
-}
+bool OverloadControl::AllowRetry() { return retry_budget_.TryWithdraw(); }
 
 void OverloadControl::RecordOutcome(const std::string& backend,
                                     double run_ms, bool ok,
@@ -100,21 +77,10 @@ void OverloadControl::RecordOutcome(const std::string& backend,
   if (!cache_hit && ok) estimator_.Record(backend, run_ms);
 }
 
-OverloadCounters OverloadControl::counters() const {
-  OverloadCounters counters;
-  counters.shed = shed_.load(std::memory_order_relaxed);
-  counters.deadline_infeasible =
-      deadline_infeasible_.load(std::memory_order_relaxed);
-  counters.brownouts = brownouts_.load(std::memory_order_relaxed);
-  counters.retry_denied = retry_denied_.load(std::memory_order_relaxed);
-  const HealthGovernor::Snapshot governor = governor_.snapshot();
-  counters.transitions = governor.transitions;
-  counters.level = governor.level;
-  counters.shed_windows = codel_.snapshot().shed_windows;
-  counters.retry_tokens = retry_budget_.snapshot().tokens;
-  return counters;
-}
-
 BrownoutLevel OverloadControl::level() const { return governor_.level(); }
+
+uint64_t OverloadControl::transitions() const {
+  return governor_.snapshot().transitions;
+}
 
 }  // namespace kanon

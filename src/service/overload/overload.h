@@ -55,21 +55,6 @@ struct OverloadOptions {
   int memory_latch_updates = 16;
 };
 
-struct OverloadCounters {
-  uint64_t shed = 0;
-  uint64_t deadline_infeasible = 0;
-  /// Jobs rewritten to a cheaper backend.
-  uint64_t brownouts = 0;
-  /// Governor level transitions.
-  uint64_t transitions = 0;
-  /// Retries refused by the pool-wide budget.
-  uint64_t retry_denied = 0;
-  /// Shedding-state entries of the CoDel controller.
-  uint64_t shed_windows = 0;
-  BrownoutLevel level = BrownoutLevel::kGreen;
-  double retry_tokens = 0.0;
-};
-
 class OverloadControl {
  public:
   explicit OverloadControl(OverloadOptions options = {});
@@ -98,7 +83,7 @@ class OverloadControl {
 
   /// Brownout consult for one admissible job. The `overload.brownout`
   /// fault site forces at least a yellow-level decision; otherwise the
-  /// governor's current level applies. Counts rewrites.
+  /// governor's current level applies.
   RewriteDecision MaybeRewrite(uint64_t job_id, const std::string& algorithm,
                                double requested_coreset_rate);
 
@@ -112,8 +97,9 @@ class OverloadControl {
   void RecordOutcome(const std::string& backend, double run_ms, bool ok,
                      StopReason termination, bool cache_hit);
 
-  OverloadCounters counters() const;
   BrownoutLevel level() const;
+  /// Governor level transitions so far.
+  uint64_t transitions() const;
   const SolveTimeEstimator& estimator() const { return estimator_; }
   bool governor_enabled() const { return options_.governor_enabled; }
 
@@ -124,10 +110,6 @@ class OverloadControl {
   RetryBudget retry_budget_;
   HealthGovernor governor_;
   std::atomic<int> memory_latch_{0};
-  std::atomic<uint64_t> shed_{0};
-  std::atomic<uint64_t> deadline_infeasible_{0};
-  std::atomic<uint64_t> brownouts_{0};
-  std::atomic<uint64_t> retry_denied_{0};
 };
 
 }  // namespace kanon

@@ -47,17 +47,17 @@ StatusOr<JobQueue::Ticket> JobQueue::Submit(
   *error = ServiceError::kNone;
   std::lock_guard<std::mutex> lock(mu_);
   if (closed_) {
-    ++counters_.rejected;
+    metrics_.Add(Counter::kRejected);
     *error = ServiceError::kShuttingDown;
     return MakeServiceStatus(*error, "service is shutting down");
   }
   if (KANON_FAULT_POINT("queue.admit")) {
-    ++counters_.rejected;
+    metrics_.Add(Counter::kRejected);
     *error = ServiceError::kQueueFull;
     return MakeServiceStatus(*error, "injected admission failure");
   }
   if (jobs_.size() >= options_.capacity) {
-    ++counters_.rejected;
+    metrics_.Add(Counter::kRejected);
     *error = ServiceError::kQueueFull;
     return MakeServiceStatus(
         *error,
@@ -66,8 +66,9 @@ StatusOr<JobQueue::Ticket> JobQueue::Submit(
   }
   if (options_.overload != nullptr &&
       options_.overload->ShouldShed(OverloadControl::SteadyNowMillis())) {
-    ++counters_.rejected;
-    ++counters_.shed;
+    metrics_.Add(Counter::kRejected);
+    metrics_.Add(Counter::kShed);
+    metrics_.Add(Counter::kOverloadShed);
     *error = ServiceError::kShedOverload;
     return MakeServiceStatus(
         *error,
@@ -79,8 +80,8 @@ StatusOr<JobQueue::Ticket> JobQueue::Submit(
   // required == 0 means the queue is calm: no bar at all, so even
   // negative-priority work is admitted.
   if (required > 0 && request.priority < required) {
-    ++counters_.rejected;
-    ++counters_.shed;
+    metrics_.Add(Counter::kRejected);
+    metrics_.Add(Counter::kShed);
     *error = ServiceError::kShedLowPriority;
     return MakeServiceStatus(
         *error, "queue under pressure (occupancy " +
@@ -95,6 +96,7 @@ StatusOr<JobQueue::Ticket> JobQueue::Submit(
   job.priority = request.priority;
   job.enqueue_time = RunContext::Clock::now();
   job.ctx = std::make_shared<RunContext>();
+  job.ctx->set_metrics(&metrics_);
   if (request.deadline_ms > 0.0) {
     job.ctx->set_deadline_after_millis(request.deadline_ms);
     job.deadline =
@@ -119,7 +121,7 @@ StatusOr<JobQueue::Ticket> JobQueue::Submit(
   // running a job the journal has no record of.
   if (options_.observer != nullptr) options_.observer->OnAdmit(job);
   jobs_.push_back(std::move(job));
-  ++counters_.accepted;
+  metrics_.Add(Counter::kAccepted);
   ready_.notify_one();
   return ticket;
 }
@@ -162,11 +164,6 @@ void JobQueue::Close() {
 size_t JobQueue::depth() const {
   std::lock_guard<std::mutex> lock(mu_);
   return jobs_.size();
-}
-
-JobQueue::Counters JobQueue::counters() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counters_;
 }
 
 }  // namespace kanon

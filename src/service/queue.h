@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "service/request.h"
+#include "util/metrics.h"
 #include "util/run_context.h"
 
 /// \file
@@ -107,14 +108,6 @@ struct QueueOptions {
 /// Thread-safe bounded queue; producers Submit, workers Pop.
 class JobQueue {
  public:
-  struct Counters {
-    uint64_t accepted = 0;
-    uint64_t rejected = 0;
-    /// Rejections attributable to adaptive load shedding (also counted
-    /// in `rejected`).
-    uint64_t shed = 0;
-  };
-
   explicit JobQueue(QueueOptions options);
 
   /// `capacity` >= 1 bounds the number of *queued* (not yet popped) jobs.
@@ -158,7 +151,11 @@ class JobQueue {
   /// Jobs admitted but not yet popped.
   size_t depth() const;
 
-  Counters counters() const;
+  /// The serving stack's counter registry (util/metrics.h). Admission
+  /// counts here, and Submit stamps it on every admitted job's
+  /// RunContext, so the pool and the solvers count into it too.
+  Metrics& metrics() { return metrics_; }
+  const Metrics& metrics() const { return metrics_; }
 
   /// The lifecycle observer wired at construction (null when none); the
   /// worker pool uses it to report OnStart/OnDone.
@@ -173,7 +170,7 @@ class JobQueue {
   std::unordered_map<uint64_t, std::shared_ptr<RunContext>> live_;
   uint64_t next_id_ = 1;
   bool closed_ = false;
-  Counters counters_;
+  Metrics metrics_;
 };
 
 }  // namespace kanon

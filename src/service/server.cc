@@ -6,8 +6,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "algo/shard_metrics.h"
-#include "coreset/metrics.h"
 #include "data/csv_table.h"
 #include "fault/fault.h"
 #include "util/build_info.h"
@@ -71,45 +69,18 @@ std::string FormatAnonymizeResponse(const AnonymizeResponse& response) {
 std::string FormatStatsLine(const ServiceStats& stats) {
   std::ostringstream out;
   out << "ok verb=stats workers=" << stats.workers
-      << " queue_depth=" << stats.queue_depth
-      << " accepted=" << stats.accepted << " rejected=" << stats.rejected
-      << " shed=" << stats.shed << " completed=" << stats.completed
-      << " cache_served=" << stats.cache_served
-      << " cancelled=" << stats.cancelled
-      << " retries=" << stats.retries_attempted
-      << " retries_exhausted=" << stats.retries_exhausted
-      << " journal_replays=" << stats.journal_replays
-      << " resumed=" << stats.resumed
-      << " resume_degraded=" << stats.resume_degraded
-      << " checkpoints=" << stats.checkpoints_written
-      << " checkpoint_failures=" << stats.checkpoint_failures
-      << " watchdog_preempted=" << stats.watchdog_preempted
-      << " breakers=" << (stats.breakers.empty() ? "-" : stats.breakers)
+      << " queue_depth=" << stats.queue_depth;
+  for (const CounterKey& key : kCounterKeys) {
+    out << ' ' << key.name << '=' << stats.counters[key.counter];
+  }
+  out << " breakers=" << (stats.breakers.empty() ? "-" : stats.breakers)
       << " cache_hits=" << stats.cache.hits
       << " cache_misses=" << stats.cache.misses
       << " cache_evictions=" << stats.cache.evictions
       << " cache_rejected=" << stats.cache.rejected
       << " cache_size=" << stats.cache.size
       << " cache_capacity=" << stats.cache.capacity
-      << " coreset_samples=" << stats.coreset_samples
-      << " coreset_rows_sampled=" << stats.coreset_rows_sampled
-      << " coreset_assigned_rows=" << stats.coreset_assigned_rows
-      << " coreset_repairs=" << stats.coreset_repairs
-      << " coreset_repair_suppressed=" << stats.coreset_repair_suppressed
-      << " coreset_resumed=" << stats.coreset_resumed
-      << " shard_plans=" << stats.shard_plans
-      << " shards_planned=" << stats.shards_planned
-      << " shard_solves=" << stats.shard_solves
-      << " shard_declines=" << stats.shard_declines
-      << " shard_merges=" << stats.shard_merges
-      << " shard_repairs=" << stats.shard_repairs
-      << " shard_resumed=" << stats.shard_resumed
-      << " overload_shed=" << stats.overload_shed
-      << " overload_infeasible=" << stats.overload_infeasible
-      << " overload_brownouts=" << stats.overload_brownouts
       << " overload_transitions=" << stats.overload_transitions
-      << " overload_retry_denied=" << stats.overload_retry_denied
-      << " overload_retry_degraded=" << stats.overload_retry_degraded
       << " overload_level="
       << (stats.overload_level.empty() ? "off" : stats.overload_level)
       << " build=" << BuildInfoToken();
@@ -184,63 +155,16 @@ ServiceStats AnonymizationService::Stats() const {
   ServiceStats stats;
   stats.workers = pool_.num_workers();
   stats.queue_depth = queue_.depth();
-  const JobQueue::Counters queue = queue_.counters();
-  stats.accepted = queue.accepted;
-  stats.rejected = queue.rejected;
-  stats.shed = queue.shed;
-  const WorkerPool::Counters pool = pool_.counters();
-  stats.completed = pool.completed;
-  stats.cache_served = pool.cache_served;
-  stats.cancelled = pool.cancelled;
-  stats.retries_attempted = pool.retries_attempted;
-  stats.retries_exhausted = pool.retries_exhausted;
-  stats.journal_replays = journal_replays_.load(std::memory_order_relaxed);
-  stats.resumed = resumed_.load(std::memory_order_relaxed);
-  stats.resume_degraded = resume_degraded_.load(std::memory_order_relaxed);
-  stats.checkpoints_written = pool.checkpoints_written;
-  stats.checkpoint_failures = pool.checkpoint_failures;
-  stats.watchdog_preempted = pool.watchdog_preempted;
+  stats.counters = queue_.metrics().Snapshot();
   stats.breakers = pool_.breakers().Describe();
   stats.cache = cache_.stats();
-  const CoresetMetricsSnapshot coreset =
-      CoresetMetrics::Instance().Snapshot();
-  stats.coreset_samples = coreset.sample_runs;
-  stats.coreset_rows_sampled = coreset.samples_drawn;
-  stats.coreset_assigned_rows = coreset.assigned_rows;
-  stats.coreset_repairs = coreset.repair_merges;
-  stats.coreset_repair_suppressed = coreset.repair_suppressed;
-  stats.coreset_resumed = coreset.resumed;
   if (overload_ != nullptr) {
-    const OverloadCounters overload = overload_->counters();
-    stats.overload_shed = overload.shed;
-    stats.overload_infeasible = overload.deadline_infeasible;
-    stats.overload_brownouts = overload.brownouts;
-    stats.overload_transitions = overload.transitions;
-    stats.overload_retry_denied = overload.retry_denied;
-    stats.overload_retry_degraded = pool.retry_budget_degraded;
-    stats.overload_level = overload_->governor_enabled()
-                               ? BrownoutLevelName(overload.level)
-                               : "off";
+    stats.overload_transitions = overload_->transitions();
+    if (overload_->governor_enabled()) {
+      stats.overload_level = BrownoutLevelName(overload_->level());
+    }
   }
-  const ShardMetricsSnapshot shard = ShardMetrics::Instance().Snapshot();
-  stats.shard_plans = shard.plans;
-  stats.shards_planned = shard.shards_planned;
-  stats.shard_solves = shard.shard_solves;
-  stats.shard_declines = shard.shard_declines;
-  stats.shard_merges = shard.merges;
-  stats.shard_repairs = shard.repair_merges;
-  stats.shard_resumed = shard.resumed;
   return stats;
-}
-
-void AnonymizationService::NoteJournalReplay(uint64_t jobs) {
-  journal_replays_.fetch_add(jobs, std::memory_order_relaxed);
-}
-
-void AnonymizationService::NoteResumes(uint64_t resumed,
-                                       uint64_t degraded) {
-  resumed_.fetch_add(resumed, std::memory_order_relaxed);
-  resume_degraded_.fetch_add(degraded, std::memory_order_relaxed);
 }
 
 void AnonymizationService::Shutdown() { pool_.Join(); }
@@ -499,9 +423,11 @@ JournalReplayReport ApplyReplayToService(JournalReplay replay,
     report.lines.push_back(
         ReplayLine(FormatAnonymizeResponse(response), job.old_id, false));
   }
-  service.NoteJournalReplay(report.resubmitted + report.resumed +
-                            report.interrupted);
-  service.NoteResumes(report.resumed, report.resume_degraded);
+  Metrics& metrics = service.metrics();
+  metrics.Add(Counter::kJournalReplays,
+              report.resubmitted + report.resumed + report.interrupted);
+  metrics.Add(Counter::kResumed, report.resumed);
+  metrics.Add(Counter::kResumeDegraded, report.resume_degraded);
   return report;
 }
 

@@ -1,7 +1,6 @@
 #ifndef KANON_SERVICE_SERVER_H_
 #define KANON_SERVICE_SERVER_H_
 
-#include <atomic>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -12,6 +11,7 @@
 #include "service/overload/overload.h"
 #include "service/queue.h"
 #include "service/worker_pool.h"
+#include "util/metrics.h"
 
 /// \file
 /// The embeddable anonymization service and its line protocol.
@@ -29,9 +29,9 @@
 ///     stage=exact_dp termination=completed chain=exact_dp(ok)
 ///     cache=miss queue_ms=0.05 run_ms=0.41 csv=age,zip;30,10001;30,10001
 ///   > stats
-///   ok verb=stats workers=4 queue_depth=0 accepted=1 rejected=0
-///     completed=1 cache_served=0 cancelled=0 cache_hits=0
-///     cache_misses=1 cache_evictions=0 cache_size=1 cache_capacity=64
+///   ok verb=stats workers=4 queue_depth=0 accepted=1 rejected=0 shed=0
+///     completed=1 ... overload_retry_degraded=0 breakers=exact_dp:closed
+///     cache_hits=0 cache_misses=1 ... overload_level=off build=...
 ///   > shutdown
 ///   ok verb=shutdown served=2
 ///
@@ -84,65 +84,21 @@ struct ServiceOptions {
   OverloadOptions overload;
 };
 
-/// Counter snapshot across queue, pool and cache.
+/// A `stats` snapshot: the stack's counters plus the gauges and
+/// per-component state the counter list does not cover.
 struct ServiceStats {
   unsigned workers = 0;
   size_t queue_depth = 0;
-  uint64_t accepted = 0;
-  uint64_t rejected = 0;
-  uint64_t shed = 0;
-  uint64_t completed = 0;
-  uint64_t cache_served = 0;
-  uint64_t cancelled = 0;
-  uint64_t retries_attempted = 0;
-  uint64_t retries_exhausted = 0;
-  /// Jobs recovered from a crash journal at startup.
-  uint64_t journal_replays = 0;
-  /// Replayed jobs continued from a durable checkpoint / degraded to
-  /// the typed interrupted path because their snapshot was missing,
-  /// stale or corrupt.
-  uint64_t resumed = 0;
-  uint64_t resume_degraded = 0;
-  /// Checkpoint sink activity and watchdog preemptions (pool counters).
-  uint64_t checkpoints_written = 0;
-  uint64_t checkpoint_failures = 0;
-  uint64_t watchdog_preempted = 0;
+  /// Every counter of util/metrics.h's list.
+  MetricsSnapshot counters;
   /// "stage:state,..." rendering of the breaker board ("-" when no
   /// stage has run yet).
   std::string breakers;
   CacheStats cache;
-  /// Coreset subsystem counters (process-wide CoresetMetrics snapshot):
-  /// sampling runs, rows drawn, full-table rows assigned, undersized-
-  /// group repair merges, repairs that collapsed to one group, and
-  /// wrapper warm-starts from a checkpoint.
-  uint64_t coreset_samples = 0;
-  uint64_t coreset_rows_sampled = 0;
-  uint64_t coreset_assigned_rows = 0;
-  uint64_t coreset_repairs = 0;
-  uint64_t coreset_repair_suppressed = 0;
-  uint64_t coreset_resumed = 0;
-  /// Sharded-pipeline counters (process-wide ShardMetrics snapshot):
-  /// plans cut, shards produced across them, per-shard solves, typed
-  /// per-shard declines, merges, boundary-group repair merges, and
-  /// wrapper warm-starts from a checkpoint. Always present in `stats`
-  /// output — zero when no sharded_* job has run.
-  uint64_t shard_plans = 0;
-  uint64_t shards_planned = 0;
-  uint64_t shard_solves = 0;
-  uint64_t shard_declines = 0;
-  uint64_t shard_merges = 0;
-  uint64_t shard_repairs = 0;
-  uint64_t shard_resumed = 0;
-  /// Overload-control plane counters. Always present in `stats` output —
-  /// zero with "off" level when the plane is disabled.
-  uint64_t overload_shed = 0;
-  uint64_t overload_infeasible = 0;
-  uint64_t overload_brownouts = 0;
+  /// Overload governor: level transitions so far, and the level
+  /// ("green"/"yellow"/"red"; "off" when the plane or its governor is
+  /// disabled).
   uint64_t overload_transitions = 0;
-  uint64_t overload_retry_denied = 0;
-  uint64_t overload_retry_degraded = 0;
-  /// "off" when the plane is disabled, else the governor's level
-  /// ("green"/"yellow"/"red").
   std::string overload_level = "off";
 };
 
@@ -183,11 +139,8 @@ class AnonymizationService {
 
   ServiceStats Stats() const;
 
-  /// Records `jobs` recovered from a crash journal (stats reporting).
-  void NoteJournalReplay(uint64_t jobs);
-
-  /// Records checkpoint-resume outcomes of a replay (stats reporting).
-  void NoteResumes(uint64_t resumed, uint64_t degraded);
+  /// The stack's counter registry (owned by its job queue).
+  Metrics& metrics() { return queue_.metrics(); }
 
   /// Stops admission, drains in-flight jobs and joins the workers.
   /// Called by the destructor; safe to call early and repeatedly.
@@ -204,9 +157,6 @@ class AnonymizationService {
   /// joins the workers first).
   std::unique_ptr<Watchdog> watchdog_;
   WorkerPool pool_;
-  std::atomic<uint64_t> journal_replays_{0};
-  std::atomic<uint64_t> resumed_{0};
-  std::atomic<uint64_t> resume_degraded_{0};
 };
 
 /// Summary of a crash-journal replay performed at daemon startup.
@@ -281,8 +231,8 @@ std::string HandleLine(AnonymizationService& service,
 
 /// The `ok verb=stats ...` key=value line for a stats snapshot. Shared
 /// by the line protocol and the binary protocol (which ships the same
-/// text as its stats payload), so counter names have one source of
-/// truth.
+/// text as its stats payload). Counter keys come from kCounterKeys
+/// (util/metrics.h), the one list of counter names.
 std::string FormatStatsLine(const ServiceStats& stats);
 
 /// Upper bound on one protocol line, transport framing included. A line

@@ -1,6 +1,7 @@
 #include "service/worker_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -15,6 +16,7 @@
 #include "service/overload/overload.h"
 #include "util/fingerprint.h"
 #include "util/logging.h"
+#include "util/metrics.h"
 #include "util/parallel.h"
 #include "util/timer.h"
 
@@ -129,15 +131,13 @@ class JobCheckpointSink : public CheckpointSink {
  public:
   JobCheckpointSink(CheckpointStore* store, JobObserver* observer,
                     uint64_t job_id, uint64_t table_fp, uint64_t k,
-                    std::atomic<uint64_t>* written,
-                    std::atomic<uint64_t>* failures)
+                    Metrics* metrics)
       : store_(store),
         observer_(observer),
         job_id_(job_id),
         table_fp_(table_fp),
         k_(k),
-        written_(written),
-        failures_(failures) {}
+        metrics_(metrics) {}
 
   /// Thread-safe: emissions normally arrive serialized (the sharded
   /// wrapper checkpoint-isolates its shard threads and is the single
@@ -156,10 +156,10 @@ class JobCheckpointSink : public CheckpointSink {
     snapshot.payload = payload;
     const Status status = store_->Save(job_id_, snapshot);
     if (status.ok()) {
-      written_->fetch_add(1, std::memory_order_relaxed);
+      metrics_->Add(Counter::kCheckpoints);
       if (observer_ != nullptr) observer_->OnCheckpoint(job_id_, seq);
     } else {
-      failures_->fetch_add(1, std::memory_order_relaxed);
+      metrics_->Add(Counter::kCheckpointFailures);
     }
     return status;
   }
@@ -170,8 +170,7 @@ class JobCheckpointSink : public CheckpointSink {
   const uint64_t job_id_;
   const uint64_t table_fp_;
   const uint64_t k_;
-  std::atomic<uint64_t>* const written_;
-  std::atomic<uint64_t>* const failures_;
+  Metrics* const metrics_;
   std::atomic<uint64_t> seq_{0};
 };
 
@@ -325,29 +324,6 @@ void WorkerPool::Join() {
   }
 }
 
-WorkerPool::Counters WorkerPool::counters() const {
-  Counters counters;
-  counters.completed = completed_.load(std::memory_order_relaxed);
-  counters.cache_served = cache_served_.load(std::memory_order_relaxed);
-  counters.cancelled = cancelled_.load(std::memory_order_relaxed);
-  counters.retries_attempted =
-      retries_attempted_.load(std::memory_order_relaxed);
-  counters.retries_exhausted =
-      retries_exhausted_.load(std::memory_order_relaxed);
-  counters.checkpoints_written =
-      checkpoints_written_.load(std::memory_order_relaxed);
-  counters.checkpoint_failures =
-      checkpoint_failures_.load(std::memory_order_relaxed);
-  counters.watchdog_preempted =
-      watchdog_preempted_.load(std::memory_order_relaxed);
-  counters.deadline_infeasible =
-      deadline_infeasible_.load(std::memory_order_relaxed);
-  counters.brownouts = brownouts_.load(std::memory_order_relaxed);
-  counters.retry_budget_degraded =
-      retry_budget_degraded_.load(std::memory_order_relaxed);
-  return counters;
-}
-
 AnonymizeResponse WorkerPool::ExecuteWithRetry(const Job& job) {
   // Deterministic per-job backoff schedule: the Rng is seeded from the
   // job id, so a chaos seed replays identical waits.
@@ -387,7 +363,7 @@ AnonymizeResponse WorkerPool::ExecuteWithRetry(const Job& job) {
       // A watchdog preemption is not retried in place: the job burned
       // its stall bound once already, and the typed error tells the
       // caller exactly what happened.
-      watchdog_preempted_.fetch_add(1, std::memory_order_relaxed);
+      queue_->metrics().Add(Counter::kWatchdogPreempted);
       AnonymizeResponse preempted;
       preempted.algorithm = job.request.algorithm;
       preempted.k = job.request.k;
@@ -400,7 +376,7 @@ AnonymizeResponse WorkerPool::ExecuteWithRetry(const Job& job) {
     }
     if (!faulted) return response;
     if (attempt >= attempts) {
-      retries_exhausted_.fetch_add(1, std::memory_order_relaxed);
+      queue_->metrics().Add(Counter::kRetriesExhausted);
       AnonymizeResponse failure;
       failure.algorithm = job.request.algorithm;
       failure.k = job.request.k;
@@ -415,7 +391,7 @@ AnonymizeResponse WorkerPool::ExecuteWithRetry(const Job& job) {
       // amplify whatever storm drained it. Degrade straight to the
       // terminal stage — still a valid (maximally suppressed) answer,
       // with the budget exhaustion recorded as a typed chain note.
-      retry_budget_degraded_.fetch_add(1, std::memory_order_relaxed);
+      queue_->metrics().Add(Counter::kOverloadRetryDenied);
       AnonymizeRequest terminal = job.request;
       terminal.algorithm = "suppress_all";
       terminal.resume_solver.clear();
@@ -430,7 +406,7 @@ AnonymizeResponse WorkerPool::ExecuteWithRetry(const Job& job) {
                        "(declined:retry_budget)->suppress_all(ok)";
       return degraded;
     }
-    retries_attempted_.fetch_add(1, std::memory_order_relaxed);
+    queue_->metrics().Add(Counter::kRetries);
     prev_backoff_ms = NextBackoffMillis(retry_, prev_backoff_ms, rng);
     std::this_thread::sleep_for(
         std::chrono::duration<double, std::milli>(prev_backoff_ms));
@@ -474,7 +450,7 @@ void WorkerPool::WorkerLoop() {
         brownout = overload_->MaybeRewrite(job->id, requested_algorithm,
                                            job->request.coreset_rate);
         if (brownout.rewritten) {
-          brownouts_.fetch_add(1, std::memory_order_relaxed);
+          queue_->metrics().Add(Counter::kOverloadBrownouts);
           job->request.algorithm = brownout.effective;
           if (brownout.coreset_rate > 0.0) {
             job->request.coreset_rate = brownout.coreset_rate;
@@ -489,7 +465,7 @@ void WorkerPool::WorkerLoop() {
     }
     AnonymizeResponse response;
     if (infeasible) {
-      deadline_infeasible_.fetch_add(1, std::memory_order_relaxed);
+      queue_->metrics().Add(Counter::kOverloadInfeasible);
       response.algorithm = requested_algorithm;
       response.k = job->request.k;
       response.error = ServiceError::kDeadlineInfeasible;
@@ -503,8 +479,7 @@ void WorkerPool::WorkerLoop() {
       if (checkpoints_ != nullptr && job->request.table.has_value()) {
         sink.emplace(checkpoints_, observer, job->id,
                      TableFingerprint(*job->request.table),
-                     job->request.k, &checkpoints_written_,
-                     &checkpoint_failures_);
+                     job->request.k, &queue_->metrics());
         job->ctx->ArmCheckpoints(&*sink, checkpoint_every_polls_,
                                  checkpoint_every_ms_);
       }
@@ -536,12 +511,10 @@ void WorkerPool::WorkerLoop() {
     }
     response.id = job->id;
     response.queue_ms = queue_ms;
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    if (response.cache_hit) {
-      cache_served_.fetch_add(1, std::memory_order_relaxed);
-    }
+    queue_->metrics().Add(Counter::kCompleted);
+    if (response.cache_hit) queue_->metrics().Add(Counter::kCacheServed);
     if (response.error == ServiceError::kCancelled) {
-      cancelled_.fetch_add(1, std::memory_order_relaxed);
+      queue_->metrics().Add(Counter::kCancelled);
     }
     // Journal the outcome before the caller can observe it: a crash
     // after set_value but before the append would leave a job the

@@ -1,7 +1,6 @@
 #ifndef KANON_SERVICE_WORKER_POOL_H_
 #define KANON_SERVICE_WORKER_POOL_H_
 
-#include <atomic>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -68,29 +67,6 @@ struct WorkerPoolOptions {
 /// (idempotent) and joins the workers.
 class WorkerPool {
  public:
-  struct Counters {
-    uint64_t completed = 0;
-    uint64_t cache_served = 0;
-    uint64_t cancelled = 0;
-    /// Re-executions after a transient worker fault.
-    uint64_t retries_attempted = 0;
-    /// Jobs answered with worker_failure after the retry budget ran out.
-    uint64_t retries_exhausted = 0;
-    /// Snapshots durably written / failed-to-write by checkpoint sinks.
-    uint64_t checkpoints_written = 0;
-    uint64_t checkpoint_failures = 0;
-    /// Jobs answered with watchdog_preempted after a stall preemption.
-    uint64_t watchdog_preempted = 0;
-    /// Jobs rejected typed at dispatch because their remaining deadline
-    /// budget could not fit the backend's optimistic solve estimate.
-    uint64_t deadline_infeasible = 0;
-    /// Jobs the brownout ladder rewrote to a cheaper backend.
-    uint64_t brownouts = 0;
-    /// Faulted jobs degraded to the terminal stage because the
-    /// pool-wide retry budget was exhausted.
-    uint64_t retry_budget_degraded = 0;
-  };
-
   /// Spawns the workers immediately. `cache` may be null (no caching).
   WorkerPool(JobQueue* queue, ResultCache* cache,
              WorkerPoolOptions options = {});
@@ -106,8 +82,6 @@ class WorkerPool {
   unsigned num_workers() const {
     return static_cast<unsigned>(threads_.size());
   }
-
-  Counters counters() const;
 
   /// The shared per-stage circuit breakers (for stats reporting).
   const BreakerBoard& breakers() const { return breakers_; }
@@ -141,17 +115,6 @@ class WorkerPool {
   Watchdog* const watchdog_;
   OverloadControl* const overload_;
   std::vector<std::thread> threads_;
-  std::atomic<uint64_t> completed_{0};
-  std::atomic<uint64_t> cache_served_{0};
-  std::atomic<uint64_t> cancelled_{0};
-  std::atomic<uint64_t> retries_attempted_{0};
-  std::atomic<uint64_t> retries_exhausted_{0};
-  std::atomic<uint64_t> checkpoints_written_{0};
-  std::atomic<uint64_t> checkpoint_failures_{0};
-  std::atomic<uint64_t> watchdog_preempted_{0};
-  std::atomic<uint64_t> deadline_infeasible_{0};
-  std::atomic<uint64_t> brownouts_{0};
-  std::atomic<uint64_t> retry_budget_degraded_{0};
 };
 
 }  // namespace kanon

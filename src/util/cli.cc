@@ -1,5 +1,8 @@
 #include "util/cli.h"
 
+#include <cmath>
+#include <sstream>
+
 #include "util/string_util.h"
 
 namespace kanon {
@@ -83,6 +86,26 @@ double CommandLine::GetDouble(const std::string& name,
   if (it == flags_.end()) return fallback;
   double value = 0;
   return ParseDouble(it->second, &value) ? value : fallback;
+}
+
+StatusOr<double> CommandLine::GetValidatedDouble(const std::string& name,
+                                                double fallback,
+                                                double min_value,
+                                                double max_value) const {
+  double value = fallback;
+  const auto it = flags_.find(name);
+  if (it != flags_.end() &&
+      (!ParseDouble(it->second, &value) || !std::isfinite(value))) {
+    return Status::InvalidArgument("--" + name + "=" + it->second +
+                                   " is not a finite number");
+  }
+  if (value < min_value || value > max_value) {
+    std::ostringstream message;
+    message << "--" << name << "=" << value << " out of range ["
+            << min_value << ", " << max_value << "]";
+    return Status::InvalidArgument(message.str());
+  }
+  return value;
 }
 
 bool CommandLine::GetBool(const std::string& name, bool fallback) const {

@@ -45,6 +45,13 @@ class CommandLine {
                                       long long min_value,
                                       long long max_value) const;
   double GetDouble(const std::string& name, double fallback) const;
+
+  /// Strict variant of GetDouble, like GetValidatedInt: kInvalidArgument
+  /// when the flag is present but unparsable or not finite (`nan`,
+  /// `inf`), or when the value lies outside [min_value, max_value].
+  StatusOr<double> GetValidatedDouble(const std::string& name,
+                                      double fallback, double min_value,
+                                      double max_value) const;
   bool GetBool(const std::string& name, bool fallback) const;
 
   const std::vector<std::string>& positional() const { return positional_; }

@@ -12,6 +12,7 @@
 #include <string_view>
 #include <unordered_map>
 
+#include "util/metrics.h"
 #include "util/status.h"
 
 /// \file
@@ -87,10 +88,13 @@ class RunContext {
   RunContext() = default;
 
   /// Child context: cancellation of `parent` (or any of its ancestors)
-  /// is observed by this context too. Limits are NOT inherited — the
-  /// creator sets the child's own deadline/budget (the fallback chain
-  /// gives each stage a slice of the remaining time).
-  explicit RunContext(const RunContext* parent) : parent_(parent) {}
+  /// is observed by this context too, and the child counts into the
+  /// parent's registry. Limits are NOT inherited — the creator sets the
+  /// child's own deadline/budget (the fallback chain gives each stage a
+  /// slice of the remaining time).
+  explicit RunContext(const RunContext* parent)
+      : parent_(parent),
+        metrics_(parent != nullptr ? parent->metrics_ : nullptr) {}
 
   RunContext(const RunContext&) = delete;
   RunContext& operator=(const RunContext&) = delete;
@@ -278,6 +282,19 @@ class RunContext {
   /// nullptr when absent. Thread-safe.
   std::shared_ptr<void> GetScratch(const void* key) const;
 
+  // --- Counters -------------------------------------------------------
+
+  /// Attaches the serving stack's counter registry (util/metrics.h; not
+  /// owned). Set before the run starts, and before any child context is
+  /// created: children copy it at construction.
+  void set_metrics(Metrics* metrics) { metrics_ = metrics; }
+
+  /// Adds `n` to `counter` in the attached registry; a no-op when none
+  /// is attached.
+  void Count(Counter counter, uint64_t n = 1) const {
+    if (metrics_ != nullptr) metrics_->Add(counter, n);
+  }
+
   // --- Outcome --------------------------------------------------------
 
   /// First limit that tripped; kNone while running normally.
@@ -295,6 +312,7 @@ class RunContext {
   void Latch(StopReason reason);
 
   const RunContext* parent_ = nullptr;
+  Metrics* metrics_ = nullptr;
 
   std::atomic<bool> has_deadline_{false};
   Clock::time_point deadline_{};

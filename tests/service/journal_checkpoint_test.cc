@@ -125,10 +125,10 @@ TEST(JournalCheckpoint, StampMatchedSnapshotResumesTheStartedJob) {
   // not inherit the dead incarnation's snapshots.
   EXPECT_TRUE(store.List().empty());
 
-  const ServiceStats stats = fixture.service->Stats();
-  EXPECT_EQ(stats.resumed, 1u);
-  EXPECT_EQ(stats.resume_degraded, 0u);
-  EXPECT_EQ(stats.journal_replays, 2u);
+  const MetricsSnapshot counters = fixture.service->Stats().counters;
+  EXPECT_EQ(counters[Counter::kResumed], 1u);
+  EXPECT_EQ(counters[Counter::kResumeDegraded], 0u);
+  EXPECT_EQ(counters[Counter::kJournalReplays], 2u);
   ::rmdir(store.dir().c_str());
 }
 
@@ -147,7 +147,7 @@ TEST(JournalCheckpoint, MissingSnapshotDegradesToTypedInterrupted) {
   EXPECT_NE(report.lines[0].find("checkpoint unusable"),
             std::string::npos)
       << report.lines[0];
-  EXPECT_EQ(fixture.service->Stats().resume_degraded, 1u);
+  EXPECT_EQ(fixture.service->Stats().counters[Counter::kResumeDegraded], 1u);
   ::rmdir(store.dir().c_str());
 }
 

@@ -104,7 +104,7 @@ TEST(OverloadIntegrationTest, BrownedOutResultNeverAnswersFullFidelity) {
   EXPECT_EQ(repeat.brownout, 1);
   EXPECT_EQ(repeat.cost, degraded.cost);
 
-  EXPECT_GE(service.Stats().overload_brownouts, 2u);
+  EXPECT_GE(service.Stats().counters[Counter::kOverloadBrownouts], 2u);
 }
 
 // ---------------------------------------------------------------------
@@ -131,8 +131,7 @@ TEST(OverloadIntegrationTest, InfeasibleDeadlineIsRejectedTyped) {
   EXPECT_FALSE(response.ok());
   EXPECT_EQ(response.error, ServiceError::kDeadlineInfeasible);
   EXPECT_TRUE(response.anonymized_csv.empty());
-  EXPECT_EQ(pool.counters().deadline_infeasible, 1u);
-  EXPECT_EQ(overload.counters().deadline_infeasible, 1u);
+  EXPECT_EQ(queue.metrics().Get(Counter::kOverloadInfeasible), 1u);
 
   // Without a deadline the same instance sails through: the estimate
   // gates deadlines, not admission.
@@ -178,9 +177,8 @@ TEST(OverloadIntegrationTest, DrainedRetryBudgetDegradesToTerminal) {
   ASSERT_TRUE(anonymized.ok());
   EXPECT_TRUE(IsKAnonymous(*anonymized, 3));
 
-  EXPECT_EQ(pool.counters().retry_budget_degraded, 1u);
-  EXPECT_EQ(pool.counters().retries_attempted, 0u);
-  EXPECT_EQ(overload.counters().retry_denied, 1u);
+  EXPECT_EQ(queue.metrics().Get(Counter::kOverloadRetryDenied), 1u);
+  EXPECT_EQ(queue.metrics().Get(Counter::kRetries), 0u);
 
   // The per-request artifact must not have been cached: a clean repeat
   // recomputes at full fidelity.
@@ -270,9 +268,9 @@ TEST(OverloadIntegrationTest, DrainUnderActiveOverloadKeepsTheLedger) {
   service.Shutdown();
   // Typed sheds the client saw are a subset of the plane's shed count
   // (a drain may drop deliveries, never invent them).
-  const ServiceStats service_stats = service.Stats();
-  EXPECT_GE(service_stats.overload_shed, shed_typed);
-  EXPECT_GE(service_stats.overload_brownouts, browned_out);
+  const MetricsSnapshot counters = service.Stats().counters;
+  EXPECT_GE(counters[Counter::kOverloadShed], shed_typed);
+  EXPECT_GE(counters[Counter::kOverloadBrownouts], browned_out);
 }
 
 // ---------------------------------------------------------------------
@@ -328,7 +326,7 @@ TEST(OverloadIntegrationTest, JournalReplayUnderActiveOverloadIsTyped) {
         << line;
   }
   // The resubmission really went through the overload plane.
-  EXPECT_GE(service.Stats().overload_brownouts, 1u);
+  EXPECT_GE(service.Stats().counters[Counter::kOverloadBrownouts], 1u);
   ::unlink(path.c_str());
 }
 

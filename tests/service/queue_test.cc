@@ -40,9 +40,8 @@ TEST(QueueTest, RejectsWhenFullWithResourceExhausted) {
   EXPECT_EQ(overflow.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(error, ServiceError::kQueueFull);
 
-  const JobQueue::Counters counters = queue.counters();
-  EXPECT_EQ(counters.accepted, 2u);
-  EXPECT_EQ(counters.rejected, 1u);
+  EXPECT_EQ(queue.metrics().Get(Counter::kAccepted), 2u);
+  EXPECT_EQ(queue.metrics().Get(Counter::kRejected), 1u);
   EXPECT_EQ(queue.depth(), 2u);
 }
 
@@ -155,10 +154,10 @@ TEST(QueueTest, LoadSheddingRaisesThePriorityBarWithOccupancy) {
       queue.Submit(SmallRequest(0.0, /*priority=*/99), &error).ok());
   EXPECT_EQ(error, ServiceError::kQueueFull);
 
-  const JobQueue::Counters counters = queue.counters();
-  EXPECT_EQ(counters.accepted, 8u);
-  EXPECT_EQ(counters.shed, 3u);
-  EXPECT_EQ(counters.rejected, 4u);  // 3 shed + 1 hard-full
+  const Metrics& metrics = queue.metrics();
+  EXPECT_EQ(metrics.Get(Counter::kAccepted), 8u);
+  EXPECT_EQ(metrics.Get(Counter::kShed), 3u);
+  EXPECT_EQ(metrics.Get(Counter::kRejected), 4u);  // 3 shed + 1 hard-full
 }
 
 TEST(QueueTest, SheddingDisabledWhenStartFractionIsOne) {
@@ -171,7 +170,7 @@ TEST(QueueTest, SheddingDisabledWhenStartFractionIsOne) {
   ASSERT_TRUE(queue.Submit(SmallRequest(0.0, /*priority=*/-5), &error).ok());
   EXPECT_FALSE(queue.Submit(SmallRequest(), &error).ok());
   EXPECT_EQ(error, ServiceError::kQueueFull);
-  EXPECT_EQ(queue.counters().shed, 0u);
+  EXPECT_EQ(queue.metrics().Get(Counter::kShed), 0u);
 }
 
 TEST(QueueTest, ObserverSeesAdmitBeforePopAndCancel) {

@@ -10,6 +10,7 @@
 #include "core/anonymity.h"
 #include "data/csv_table.h"
 #include "gtest/gtest.h"
+#include "util/random.h"
 #include "util/string_util.h"
 
 /// \file
@@ -199,8 +200,8 @@ TEST(ServerTest, StatsCountsRejections) {
 
   // Validation failures are not queue rejections; both counters exist.
   const ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.accepted, 0u);
-  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_EQ(stats.counters[Counter::kAccepted], 0u);
+  EXPECT_EQ(stats.counters[Counter::kRejected], 0u);
   EXPECT_EQ(stats.workers, 1u);
 }
 
@@ -216,20 +217,55 @@ TEST(ServerTest, WaitZeroAnswersAtAdmission) {
   EXPECT_NE(response.find("queued=1"), std::string::npos) << response;
   // The fire-and-forget job still runs to completion in the background.
   service.Shutdown();
-  EXPECT_EQ(service.Stats().completed, 1u);
+  EXPECT_EQ(service.Stats().counters[Counter::kCompleted], 1u);
 }
 
 TEST(ServerTest, StatsLineCarriesRobustnessCounters) {
   AnonymizationService service({.workers = 1});
   bool shutdown = false;
   const std::string stats = HandleLine(service, "stats", &shutdown);
-  for (const char* key : {"shed=", "retries=", "retries_exhausted=",
-                          "journal_replays=", "breakers=",
-                          "cache_rejected="}) {
-    EXPECT_NE(stats.find(key), std::string::npos)
-        << "missing " << key << " in: " << stats;
+  const std::vector<std::string> tokens = Split(stats, ' ');
+  for (const CounterKey& key : kCounterKeys) {
+    const std::string prefix = std::string(key.name) + "=";
+    size_t found = 0;
+    for (const std::string& token : tokens) {
+      if (!StartsWith(token, prefix)) continue;
+      ++found;
+      long long value = -1;
+      EXPECT_TRUE(ParseInt(token.substr(prefix.size()), &value) &&
+                  value >= 0)
+          << token << " in: " << stats;
+    }
+    EXPECT_EQ(found, 1u) << key.name << " in: " << stats;
   }
   EXPECT_EQ(Field(stats, "breakers"), "-");  // no stage has run yet
+}
+
+TEST(ServerTest, CoresetAndShardCountersArePerService) {
+  std::string csv = "a,b,c";
+  Rng rng(5);
+  for (int i = 0; i < 256; ++i) {
+    csv += ";" + std::to_string(rng.Uniform(4)) + "," +
+           std::to_string(rng.Uniform(4)) + "," +
+           std::to_string(rng.Uniform(4));
+  }
+  bool shutdown = false;
+  AnonymizationService a({.workers = 1});
+  for (const char* algo : {"coreset_mdav", "sharded_mdav"}) {
+    const std::string line = HandleLine(
+        a, std::string("anonymize algo=") + algo + " k=3 csv=" + csv,
+        &shutdown);
+    ASSERT_TRUE(StartsWith(line, "ok verb=anonymize")) << line;
+  }
+  const std::string a_stats = HandleLine(a, "stats", &shutdown);
+  EXPECT_EQ(Field(a_stats, "coreset_samples"), "1") << a_stats;
+  EXPECT_EQ(Field(a_stats, "shard_plans"), "1") << a_stats;
+
+  // A second stack in the same process counts only its own work.
+  AnonymizationService b({.workers = 1});
+  const std::string b_stats = HandleLine(b, "stats", &shutdown);
+  EXPECT_EQ(Field(b_stats, "coreset_samples"), "0") << b_stats;
+  EXPECT_EQ(Field(b_stats, "shard_plans"), "0") << b_stats;
 }
 
 TEST(ServerTest, JournalReplayResubmitsPendingAndMarksInterrupted) {
@@ -272,7 +308,7 @@ TEST(ServerTest, JournalReplayResubmitsPendingAndMarksInterrupted) {
   EXPECT_NE(report->lines[1].find("error=interrupted"), std::string::npos)
       << report->lines[1];
 
-  EXPECT_EQ(service.Stats().journal_replays, 2u);
+  EXPECT_EQ(service.Stats().counters[Counter::kJournalReplays], 2u);
   ::unlink(path.c_str());
 }
 

@@ -121,7 +121,7 @@ TEST(WatchdogPoolTest, InjectedStallBecomesOneTypedPreemptedResponse) {
 
   queue.Close();
   pool.Join();
-  EXPECT_EQ(pool.counters().watchdog_preempted, 1u);
+  EXPECT_EQ(queue.metrics().Get(Counter::kWatchdogPreempted), 1u);
   EXPECT_EQ(watchdog.preemptions(), 1u);
 }
 

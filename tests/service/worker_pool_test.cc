@@ -92,8 +92,8 @@ TEST(WorkerPoolTest, RepeatRequestServedFromCache) {
 
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(pool.counters().cache_served, 1u);
-  EXPECT_EQ(pool.counters().completed, 2u);
+  EXPECT_EQ(queue.metrics().Get(Counter::kCacheServed), 1u);
+  EXPECT_EQ(queue.metrics().Get(Counter::kCompleted), 2u);
 
   // A different k is a different instance: miss.
   const AnonymizeResponse other_k =
@@ -202,7 +202,7 @@ TEST(WorkerPoolTest, FourRequestsInFlightOnFourWorkers) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(queue.depth(), 0u);
-  EXPECT_EQ(pool.counters().completed, 0u);
+  EXPECT_EQ(queue.metrics().Get(Counter::kCompleted), 0u);
 
   // Per-request cancellation reaches the running jobs' RunContexts; the
   // resilient chain still answers each with a valid partition — unless
@@ -227,7 +227,7 @@ TEST(WorkerPoolTest, FourRequestsInFlightOnFourWorkers) {
     ASSERT_TRUE(anonymized.ok());
     EXPECT_TRUE(IsKAnonymous(*anonymized, 3));
   }
-  EXPECT_EQ(pool.counters().completed, 4u);
+  EXPECT_EQ(queue.metrics().Get(Counter::kCompleted), 4u);
 }
 
 TEST(WorkerPoolTest, ConcurrentExecutionIsDeterministicPerRequest) {
@@ -282,8 +282,8 @@ TEST(WorkerPoolTest, TransientDispatchFaultsAreRetriedInPlace) {
       queue.Submit(RequestFor(SmallTable(30), 3), &error)->result.get();
 
   ASSERT_TRUE(response.ok()) << response.status;
-  EXPECT_EQ(pool.counters().retries_attempted, 2u);
-  EXPECT_EQ(pool.counters().retries_exhausted, 0u);
+  EXPECT_EQ(queue.metrics().Get(Counter::kRetries), 2u);
+  EXPECT_EQ(queue.metrics().Get(Counter::kRetriesExhausted), 0u);
 
   const StatusOr<Table> anonymized = ParseTableCsv(response.anonymized_csv);
   ASSERT_TRUE(anonymized.ok());
@@ -308,8 +308,8 @@ TEST(WorkerPoolTest, ExhaustedRetryBudgetIsATypedWorkerFailure) {
   EXPECT_FALSE(response.ok());
   EXPECT_EQ(response.error, ServiceError::kWorkerFailure);
   EXPECT_EQ(response.status.code(), StatusCode::kInternal);
-  EXPECT_EQ(pool.counters().retries_attempted, 1u);
-  EXPECT_EQ(pool.counters().retries_exhausted, 1u);
+  EXPECT_EQ(queue.metrics().Get(Counter::kRetries), 1u);
+  EXPECT_EQ(queue.metrics().Get(Counter::kRetriesExhausted), 1u);
 }
 
 TEST(WorkerPoolTest, LostDeliveryDiscardsTheResultAndRetries) {
@@ -331,8 +331,8 @@ TEST(WorkerPoolTest, LostDeliveryDiscardsTheResultAndRetries) {
       queue.Submit(RequestFor(SmallTable(32), 3), &error)->result.get();
 
   ASSERT_TRUE(response.ok()) << response.status;
-  EXPECT_EQ(pool.counters().retries_attempted, 1u);
-  EXPECT_EQ(pool.counters().completed, 1u);
+  EXPECT_EQ(queue.metrics().Get(Counter::kRetries), 1u);
+  EXPECT_EQ(queue.metrics().Get(Counter::kCompleted), 1u);
 }
 
 TEST(RetryPolicyTest, BackoffStartsAtBaseAndStaysWithinBounds) {
@@ -383,7 +383,7 @@ TEST(WorkerPoolTest, CancelledBeforeRunIsATypedError) {
   EXPECT_FALSE(response.ok());
   EXPECT_EQ(response.error, ServiceError::kCancelled);
   EXPECT_EQ(response.status.code(), StatusCode::kCancelled);
-  EXPECT_EQ(pool.counters().cancelled, 1u);
+  EXPECT_EQ(queue.metrics().Get(Counter::kCancelled), 1u);
 }
 
 }  // namespace

@@ -69,6 +69,43 @@ TEST(CommandLineTest, DoubleParsing) {
   EXPECT_DOUBLE_EQ(cl.GetDouble("rate", 0.0), 0.25);
 }
 
+TEST(CommandLineTest, ValidatedDoubleAcceptsInRangeAndFallsBack) {
+  const CommandLine cl = ParseArgs({"--ms=12.5", "--ratio=1"});
+  const StatusOr<double> ms = cl.GetValidatedDouble("ms", 0.0, 0.0, 1e9);
+  ASSERT_TRUE(ms.ok());
+  EXPECT_DOUBLE_EQ(*ms, 12.5);
+  const StatusOr<double> ratio =
+      cl.GetValidatedDouble("ratio", 0.1, 0.0, 1.0);
+  ASSERT_TRUE(ratio.ok());
+  EXPECT_DOUBLE_EQ(*ratio, 1.0);
+  const StatusOr<double> absent =
+      cl.GetValidatedDouble("absent", 0.1, 0.0, 1.0);
+  ASSERT_TRUE(absent.ok());
+  EXPECT_DOUBLE_EQ(*absent, 0.1);
+}
+
+TEST(CommandLineTest, ValidatedDoubleRejectsMalformedAndNonFinite) {
+  for (const char* arg : {"--ms=5OO", "--ms=abc", "--ms=", "--ms=nan",
+                          "--ms=inf", "--ms=-inf", "--ms=1e999"}) {
+    const StatusOr<double> ms =
+        ParseArgs({arg}).GetValidatedDouble("ms", 0.0, -1e9, 1e9);
+    ASSERT_FALSE(ms.ok()) << arg;
+    EXPECT_EQ(ms.status().code(), StatusCode::kInvalidArgument) << arg;
+    EXPECT_NE(ms.status().message().find("--ms="), std::string::npos)
+        << ms.status().message();
+  }
+}
+
+TEST(CommandLineTest, ValidatedDoubleRejectsOutOfRange) {
+  const CommandLine cl = ParseArgs({"--ratio=1.5", "--ms=-1"});
+  EXPECT_EQ(cl.GetValidatedDouble("ratio", 0.1, 0.0, 1.0).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(cl.GetValidatedDouble("ms", 0.0, 0.0, 1e9).status().code(),
+            StatusCode::kInvalidArgument);
+  // A fallback outside the range is refused too, as in GetValidatedInt.
+  EXPECT_FALSE(cl.GetValidatedDouble("absent", 2.0, 0.0, 1.0).ok());
+}
+
 TEST(CommandLineTest, UnknownFlagsFindsTheTypo) {
   const CommandLine cl =
       ParseArgs({"--workers=4", "--workres=8", "--once"});
