@@ -119,22 +119,28 @@ TEST(BallCoverTest, ParallelAndSerialRunsIdentical) {
 }
 
 // Property sweep: valid partitions across (n, k, mode).
+// gtest names each case by the raw bytes of its parameter, so the struct
+// must have no padding: padding bytes are uninitialised and would make the
+// case names differ from one build to the next.
 struct BallCase {
   uint64_t seed;
-  uint32_t n;
+  uint64_t n;
   size_t k;
 };
+static_assert(sizeof(BallCase) ==
+              sizeof(uint64_t) + sizeof(uint64_t) + sizeof(size_t));
 
 class BallCoverPropertyTest : public ::testing::TestWithParam<BallCase> {};
 
 TEST_P(BallCoverPropertyTest, ValidAcrossConfigs) {
   const BallCase c = GetParam();
   Rng rng(c.seed);
+  const auto n = static_cast<uint32_t>(c.n);
   const Table t = UniformTable(
-      {.num_rows = c.n, .num_columns = 6, .alphabet = 3}, &rng);
+      {.num_rows = n, .num_columns = 6, .alphabet = 3}, &rng);
   BallCoverAnonymizer algo;
   const auto result = ValidateResult(t, c.k, algo.Run(t, c.k));
-  EXPECT_TRUE(IsValidPartition(result.partition, c.n, c.k, 2 * c.k - 1));
+  EXPECT_TRUE(IsValidPartition(result.partition, n, c.k, 2 * c.k - 1));
 }
 
 INSTANTIATE_TEST_SUITE_P(
