@@ -59,13 +59,13 @@ BENCHMARK(BM_DistanceMatrixBuildScalarSeed)
     ->Unit(benchmark::kMillisecond)
     ->Complexity(benchmark::oNSquared);
 
-// The production path: cache-blocked tile fill distributed over the
-// worker pool (core/distance.cc).
+// The production path: the oracle's dense branch, a cache-blocked tile
+// fill distributed over the worker pool (core/distance_oracle.cc).
 void BM_DistanceMatrixBuildTiled(benchmark::State& state) {
   const Table t = MakeTable(state.range(0), 16);
   for (auto _ : state) {
-    DistanceMatrix dm(t);
-    benchmark::DoNotOptimize(dm.at(0, t.num_rows() - 1));
+    const auto oracle = DistanceOracle::Create(t, {}, nullptr);
+    benchmark::DoNotOptimize((*oracle)->at(0, t.num_rows() - 1));
   }
   state.SetComplexityN(state.range(0));
 }
@@ -89,15 +89,14 @@ void BM_OracleLookupDense(benchmark::State& state) {
 }
 BENCHMARK(BM_OracleLookupDense)->Arg(256)->Arg(1024);
 
-// On-demand path with a warm strip cache: the access pattern sweeps b
-// while a stays in a small working set, which is how the cover loops
-// actually probe distances.
+// On-demand path: every lookup is one row comparison. The access
+// pattern sweeps b while a stays in a small working set, which is how
+// the center scans probe distances.
 void BM_OracleLookupOnDemand(benchmark::State& state) {
   const Table t = MakeTable(state.range(0), 16);
   RunContext ctx;
   const auto oracle = DistanceOracle::Create(
-      t, DistanceOracleOptions{.dense_threshold = 0, .max_cached_strips = 16},
-      &ctx);
+      t, DistanceOracleOptions{.dense_threshold = 0}, &ctx);
   RowId a = 0, b = 1;
   for (auto _ : state) {
     benchmark::DoNotOptimize((*oracle)->at(a % 8, b));
@@ -134,10 +133,10 @@ BENCHMARK(BM_AnonCost)->Arg(3)->Arg(5)->Arg(9)->Arg(17);
 
 void BM_KthNearest(benchmark::State& state) {
   const Table t = MakeTable(state.range(0), 16);
-  const DistanceMatrix dm(t);
+  const auto oracle = DistanceOracle::Create(t, {}, nullptr);
   RowId r = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dm.KthNearestDistance(r, 3));
+    benchmark::DoNotOptimize((*oracle)->KthNearestDistance(r, 3));
     r = (r + 1) % t.num_rows();
   }
 }

@@ -6,14 +6,20 @@
 // compare ns/op; BM_FaultPointArmed shows the armed (slow-path) cost
 // for contrast, and the remaining benches size the other per-job
 // robustness costs (backoff draw, breaker check, admission).
+// BM_TerminalPathSuppressAll sizes the path a job falls back to when the
+// pool's retry budget is dry; ci.sh checks that it grows linearly.
 
 #include <atomic>
 
 #include "benchmark/benchmark.h"
+#include "core/anonymity.h"
+#include "data/csv_table.h"
+#include "data/generators/uniform.h"
 #include "fault/fault.h"
 #include "service/breaker.h"
 #include "service/queue.h"
 #include "service/retry.h"
+#include "service/worker_pool.h"
 #include "util/random.h"
 
 namespace kanon {
@@ -107,6 +113,45 @@ void BM_QueueSubmitPopForget(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_QueueSubmitPopForget);
+
+/// The retry-budget terminal path (WorkerPool's degraded Execute): a
+/// suppress_all job answered with its CSV and no cache, then the answer
+/// parsed back and checked k-anonymous. Every step is O(nm), so 10x the
+/// rows must cost about 10x the time; ci.sh fails the build when the
+/// 10^6-row median exceeds 30x the 10^5-row one.
+void BM_TerminalPathSuppressAll(benchmark::State& state) {
+  Rng rng(5);
+  AnonymizeRequest request;
+  request.algorithm = "suppress_all";
+  request.k = 5;
+  request.emit_csv = true;
+  request.table = UniformTable(
+      {.num_rows = static_cast<uint32_t>(state.range(0)),
+       .num_columns = 3,
+       .alphabet = 16},
+      &rng);
+  ServiceError error = ServiceError::kNone;
+  if (!ValidateAndPrepare(request, &error).ok()) {
+    state.SkipWithError("request rejected");
+    return;
+  }
+  for (auto _ : state) {
+    RunContext ctx;
+    const AnonymizeResponse response =
+        WorkerPool::Execute(request, &ctx, /*cache=*/nullptr);
+    const StatusOr<Table> answer = ParseTableCsv(response.anonymized_csv);
+    const bool valid =
+        response.ok() && answer.ok() && IsKAnonymous(*answer, request.k);
+    benchmark::DoNotOptimize(valid);
+    if (!valid) {
+      state.SkipWithError("terminal path returned no k-anonymous answer");
+      return;
+    }
+  }
+}
+BENCHMARK(BM_TerminalPathSuppressAll)
+    ->Arg(100000)->Arg(1000000)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace kanon

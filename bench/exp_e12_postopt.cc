@@ -16,7 +16,7 @@
 #include "algo/registry.h"
 #include "util/report.h"
 #include "core/bounds.h"
-#include "core/distance.h"
+#include "core/distance_oracle.h"
 #include "data/generators/census.h"
 #include "data/generators/clustered.h"
 #include "util/cli.h"
@@ -65,8 +65,8 @@ int Main(int argc, char** argv) {
         opt.noise_flips = 1;
         return ClusteredTable(opt, &rng);
       }();
-      const DistanceMatrix dm(t);
-      lb_acc.Add(static_cast<double>(KnnLowerBound(t, dm, k)));
+      const auto oracle = DistanceOracle::Create(t, {}, nullptr);
+      lb_acc.Add(static_cast<double>(KnnLowerBound(t, **oracle, k)));
       for (size_t a = 0; a < arms.size(); ++a) {
         auto algo = MakeAnonymizer(arms[a]);
         const auto result = algo->Run(t, k);

@@ -16,7 +16,7 @@
 #include "algo/exact_dp.h"
 #include "util/report.h"
 #include "core/bounds.h"
-#include "core/distance.h"
+#include "core/distance_oracle.h"
 #include "data/generators/clustered.h"
 #include "data/generators/uniform.h"
 #include "util/cli.h"
@@ -121,8 +121,8 @@ int Main(int argc, char** argv) {
       opt.num_clusters = n_large / 6;
       opt.noise_flips = 1;
       const Table t = ClusteredTable(opt, &rng);
-      const DistanceMatrix dm(t);
-      const size_t lb = KnnLowerBound(t, dm, k);
+      const auto oracle = DistanceOracle::Create(t, {}, nullptr);
+      const size_t lb = KnnLowerBound(t, **oracle, k);
       BallCoverOptions ball_opt;
       ball_opt.family_mode = config.family;
       ball_opt.weight_mode = config.weight;

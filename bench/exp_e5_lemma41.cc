@@ -13,7 +13,7 @@
 
 #include "algo/exact_dp.h"
 #include "util/report.h"
-#include "core/distance.h"
+#include "core/distance_oracle.h"
 #include "data/generators/clustered.h"
 #include "data/generators/uniform.h"
 #include "util/cli.h"
@@ -25,7 +25,8 @@ namespace {
 /// Exhaustive minimum diameter sum over (k, 2k-1)-partitions.
 size_t MinDiameterSum(const Table& table, size_t k) {
   const RowId n = table.num_rows();
-  const DistanceMatrix dm(table);
+  const auto oracle = DistanceOracle::Create(table, {}, nullptr);
+  const DistanceOracle& dm = **oracle;
   size_t best = static_cast<size_t>(-1);
   std::vector<bool> assigned(n, false);
   std::function<void(size_t)> recurse = [&](size_t current) {

@@ -16,7 +16,7 @@
 #include "algo/registry.h"
 #include "util/report.h"
 #include "core/bounds.h"
-#include "core/distance.h"
+#include "core/distance_oracle.h"
 #include "data/generators/census.h"
 #include "data/generators/clustered.h"
 #include "data/generators/uniform.h"
@@ -74,8 +74,8 @@ int Main(int argc, char** argv) {
       for (uint32_t seed = 1; seed <= trials; ++seed) {
         Rng rng(seed * 19);
         const Table t = MakeWorkload(kind, n, &rng);
-        const DistanceMatrix dm(t);
-        lbs.Add(static_cast<double>(KnnLowerBound(t, dm, k)));
+        const auto oracle = DistanceOracle::Create(t, {}, nullptr);
+        lbs.Add(static_cast<double>(KnnLowerBound(t, **oracle, k)));
         for (size_t a = 0; a < algos.size(); ++a) {
           auto algo = MakeAnonymizer(algos[a]);
           costs[a].Add(static_cast<double>(algo->Run(t, k).cost));

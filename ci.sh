@@ -156,7 +156,8 @@ run_ckpt_drill() {
 }
 
 echo "=== tier-1: default build ==="
-cmake -B build -S . >/dev/null
+# Warnings are errors here, so the default build stays warning-free.
+cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build -j"${JOBS}"
 ctest --test-dir build --output-on-failure -j"${JOBS}"
 
@@ -376,6 +377,34 @@ assert tiled <= 1.25 * ref, (
     f"tiled distance build regressed: {tiled:.1f} ms vs "
     f"baseline {ref:.1f} ms (>25%)")
 EOF
+
+echo "=== terminal-path guard: the suppress_all answer grows linearly ==="
+# The path a request falls back to once its retry budget is spent
+# (suppress_all, the suppressed relation as CSV, the answer parsed back
+# and checked k-anonymous) is O(nm). At 10x the rows, linear growth is
+# about 10x the time and quadratic growth 100x; the gate allows 30x.
+TERMINAL_JSON="$(mktemp)"
+./build/bench/bench_micro_service --benchmark_filter='TerminalPath' \
+  --benchmark_repetitions=5 --benchmark_out="${TERMINAL_JSON}" \
+  --benchmark_out_format=json >/dev/null
+TERMINAL_JSON="${TERMINAL_JSON}" python3 - <<'EOF'
+import json
+import os
+
+with open(os.environ["TERMINAL_JSON"]) as f:
+    medians = {b["run_name"]: b["real_time"]
+               for b in json.load(f)["benchmarks"]
+               if b.get("aggregate_name") == "median"}
+
+small = medians["BM_TerminalPathSuppressAll/100000"]
+large = medians["BM_TerminalPathSuppressAll/1000000"]
+print(f"terminal path: 1e5 rows {small:.1f} ms, 1e6 rows {large:.1f} ms "
+      f"({large / small:.1f}x)")
+assert large <= 30 * small, (
+    f"terminal path grew superlinearly: {large / small:.1f}x for 10x "
+    "the rows (gate 30x)")
+EOF
+rm -f "${TERMINAL_JSON}"
 
 echo "=== coreset quality gate: sample-solve-assign gap vs direct ==="
 # E16 at n = 2048: the coreset pipeline (sample at the default rate,

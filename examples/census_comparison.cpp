@@ -11,7 +11,7 @@
 
 #include "algo/registry.h"
 #include "core/bounds.h"
-#include "core/distance.h"
+#include "core/distance_oracle.h"
 #include "core/metrics.h"
 #include "data/generators/census.h"
 #include "util/cli.h"
@@ -28,8 +28,8 @@ int main(int argc, char** argv) {
   std::cout << "Synthetic census extract, first rows:\n\n"
             << census.ToString(8) << "\n";
 
-  const DistanceMatrix dm(census);
-  const size_t lower_bound = KnnLowerBound(census, dm, k);
+  const auto oracle = DistanceOracle::Create(census, {}, nullptr);
+  const size_t lower_bound = KnnLowerBound(census, **oracle, k);
   std::cout << "certified lower bound on OPT (k-NN argument): "
             << lower_bound << " stars\n\n";
 

@@ -2,21 +2,10 @@
 
 #include <algorithm>
 
+#include "core/distance.h"
 #include "util/logging.h"
 
 namespace kanon {
-
-size_t KnnLowerBound(const Table& table, const DistanceMatrix& dm,
-                     size_t k) {
-  const RowId n = table.num_rows();
-  if (n == 0 || k <= 1) return 0;
-  KANON_CHECK_LE(k, n);
-  size_t bound = 0;
-  for (RowId r = 0; r < n; ++r) {
-    bound += dm.KthNearestDistance(r, static_cast<RowId>(k - 1));
-  }
-  return bound;
-}
 
 size_t KnnLowerBound(const Table& table, const DistanceOracle& oracle,
                      size_t k) {

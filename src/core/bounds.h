@@ -3,7 +3,6 @@
 
 #include <cstddef>
 
-#include "core/distance.h"
 #include "core/distance_oracle.h"
 #include "core/partition.h"
 #include "data/table.h"
@@ -28,11 +27,8 @@ namespace kanon {
 /// Proof: v's group S has >= k-1 other members; the columns starred in v
 /// are exactly S's disagreeing columns, which number >= max_{u in S}
 /// d(u,v) >= d_{k-1}NN(v).
-size_t KnnLowerBound(const Table& table, const DistanceMatrix& dm,
-                     size_t k);
-
-/// Same bound computed through the shared DistanceOracle seam (works on
-/// instances too large for the dense matrix).
+/// Distances come from `oracle`, so the bound also runs on instances
+/// above its dense threshold.
 size_t KnnLowerBound(const Table& table, const DistanceOracle& oracle,
                      size_t k);
 

@@ -1,71 +1,10 @@
 #include "core/distance.h"
 
 #include <algorithm>
-#include <new>
-#include <utility>
 
-#include "fault/fault.h"
 #include "util/logging.h"
-#include "util/parallel.h"
 
 namespace kanon {
-
-namespace {
-
-/// Rows per tile of the blocked matrix fill. A 64-row tile of 16-column
-/// uint32 codes is ~4 KiB per side, so one tile pair lives comfortably
-/// in L1 and each row is reused 64 times per load.
-constexpr RowId kDistanceTile = 64;
-
-/// Tiled symmetric fill of the all-pairs matrix. Cell (x, y) with x < y
-/// is written exactly once, by the tile pair (x/T, y/T), and tile rows
-/// are distributed across workers by ParallelFor, so writes are
-/// race-free and the result is bit-identical to the serial fill. With a
-/// stopped context the unvisited tail is simply left zero — callers
-/// must check ctx->ShouldStop() and discard the partial matrix.
-void FillDistanceTiled(const Table& table, ColId* dist, RunContext* ctx) {
-  const RowId n = table.num_rows();
-  const ColId m = table.num_columns();
-  const size_t num_tiles =
-      (static_cast<size_t>(n) + kDistanceTile - 1) / kDistanceTile;
-  ParallelFor(
-      0, num_tiles, /*min_chunk=*/1,
-      [&](size_t lo, size_t hi) {
-        for (size_t ta = lo; ta < hi; ++ta) {
-          const RowId a0 = static_cast<RowId>(ta * kDistanceTile);
-          const RowId a1 =
-              std::min<RowId>(n, a0 + kDistanceTile);
-          for (size_t tb = ta; tb < num_tiles; ++tb) {
-            // One cooperative checkpoint per tile pair: an injected
-            // fault expires the deadline exactly like a real one.
-            if (ctx != nullptr) {
-              if (KANON_FAULT_POINT("distance.build")) {
-                ctx->MarkStopped(StopReason::kDeadline);
-              }
-              if (ctx->ShouldStop()) return;
-            }
-            const RowId b0 = static_cast<RowId>(tb * kDistanceTile);
-            const RowId b1 =
-                std::min<RowId>(n, b0 + kDistanceTile);
-            for (RowId a = a0; a < a1; ++a) {
-              const ValueCode* ra = table.row(a).data();
-              for (RowId b = (tb == ta ? a + 1 : b0); b < b1; ++b) {
-                const ValueCode* rb = table.row(b).data();
-                ColId d = 0;
-                for (ColId j = 0; j < m; ++j) {
-                  d += static_cast<ColId>(ra[j] != rb[j]);
-                }
-                dist[static_cast<size_t>(a) * n + b] = d;
-                dist[static_cast<size_t>(b) * n + a] = d;
-              }
-            }
-          }
-        }
-      },
-      ctx);
-}
-
-}  // namespace
 
 ColId HammingDistance(std::span<const ValueCode> u,
                       std::span<const ValueCode> v) {
@@ -89,97 +28,6 @@ ColId SetDiameter(const Table& table, std::span<const RowId> rows) {
     }
   }
   return diameter;
-}
-
-DistanceMatrix::DistanceMatrix(const Table& table)
-    : n_(table.num_rows()),
-      dist_(static_cast<size_t>(table.num_rows()) * table.num_rows(), 0) {
-  FillDistanceTiled(table, dist_.data(), nullptr);
-}
-
-StatusOr<DistanceMatrix> DistanceMatrix::Create(const Table& table,
-                                                RunContext* ctx) {
-  const RowId n = table.num_rows();
-  const size_t cells = static_cast<size_t>(n) * n;
-  // Overflow / address-space guard: refuse instead of throwing.
-  if (n != 0 && cells / n != n) {
-    if (ctx != nullptr) ctx->MarkStopped(StopReason::kBudget);
-    return Status::ResourceExhausted(
-        "distance matrix: n^2 cell count overflows");
-  }
-  const size_t bytes = cells * sizeof(ColId);
-  if (ctx != nullptr && !ctx->TryChargeMemory(bytes)) {
-    return Status::ResourceExhausted(
-        "distance matrix exceeds the run's memory budget");
-  }
-  DistanceMatrix dm(n);
-  try {
-    dm.dist_.resize(cells, 0);
-  } catch (const std::bad_alloc&) {
-    if (ctx != nullptr) {
-      ctx->ReleaseMemory(bytes);
-      ctx->MarkStopped(StopReason::kBudget);
-    }
-    return Status::ResourceExhausted(
-        "distance matrix allocation failed (bad_alloc)");
-  }
-  dm.lease_ctx_ = ctx;
-  dm.lease_bytes_ = bytes;
-  FillDistanceTiled(table, dm.dist_.data(), ctx);
-  if (ctx != nullptr && ctx->ShouldStop()) {
-    // Partially-filled matrix is discarded; the lease releases with it.
-    return StopReasonToStatus(ctx->stop_reason());
-  }
-  return dm;
-}
-
-DistanceMatrix::DistanceMatrix(DistanceMatrix&& other) noexcept
-    : n_(other.n_),
-      dist_(std::move(other.dist_)),
-      lease_ctx_(std::exchange(other.lease_ctx_, nullptr)),
-      lease_bytes_(std::exchange(other.lease_bytes_, 0)) {}
-
-DistanceMatrix& DistanceMatrix::operator=(DistanceMatrix&& other) noexcept {
-  if (this != &other) {
-    ReleaseLease();
-    n_ = other.n_;
-    dist_ = std::move(other.dist_);
-    lease_ctx_ = std::exchange(other.lease_ctx_, nullptr);
-    lease_bytes_ = std::exchange(other.lease_bytes_, 0);
-  }
-  return *this;
-}
-
-DistanceMatrix::~DistanceMatrix() { ReleaseLease(); }
-
-void DistanceMatrix::ReleaseLease() {
-  if (lease_ctx_ != nullptr) {
-    lease_ctx_->ReleaseMemory(lease_bytes_);
-    lease_ctx_ = nullptr;
-    lease_bytes_ = 0;
-  }
-}
-
-ColId DistanceMatrix::Diameter(std::span<const RowId> rows) const {
-  ColId diameter = 0;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    for (size_t j = i + 1; j < rows.size(); ++j) {
-      diameter = std::max(diameter, at(rows[i], rows[j]));
-    }
-  }
-  return diameter;
-}
-
-ColId DistanceMatrix::KthNearestDistance(RowId row, RowId j) const {
-  KANON_CHECK_GE(j, 1u);
-  KANON_CHECK_LT(j, n_);
-  std::vector<ColId> others;
-  others.reserve(n_ - 1);
-  for (RowId x = 0; x < n_; ++x) {
-    if (x != row) others.push_back(at(row, x));
-  }
-  std::nth_element(others.begin(), others.begin() + (j - 1), others.end());
-  return others[j - 1];
 }
 
 }  // namespace kanon

@@ -1,25 +1,19 @@
 #ifndef KANON_CORE_DISTANCE_H_
 #define KANON_CORE_DISTANCE_H_
 
-#include <cstddef>
 #include <span>
-#include <vector>
 
 #include "data/table.h"
 #include "data/value.h"
-#include "util/run_context.h"
-#include "util/status.h"
 
 /// \file
 /// The paper's Definition 4.1: `d(u, v) = |{j : u[j] != v[j]}|` (Hamming
 /// distance over coded rows) and the diameter `d(S) = max_{u,v in S}
-/// d(u, v)`. The distance is a metric; `DistanceMatrix` precomputes all
-/// pairs for the cover algorithms.
+/// d(u, v)`. The distance is a metric.
 ///
-/// Solvers should not construct a DistanceMatrix directly — they go
-/// through the `DistanceOracle` seam (core/distance_oracle.h), which
-/// picks between this dense matrix and a blocked on-demand path and
-/// accounts the memory against the run's budget.
+/// Solvers that probe many pairs go through the `DistanceOracle`
+/// (core/distance_oracle.h), which holds the all-pairs table for small
+/// instances and accounts its memory against the run's budget.
 
 namespace kanon {
 
@@ -32,59 +26,6 @@ ColId RowDistance(const Table& table, RowId a, RowId b);
 
 /// Diameter of the row set `rows` (0 for empty or singleton sets).
 ColId SetDiameter(const Table& table, std::span<const RowId> rows);
-
-/// Dense symmetric n x n matrix of pairwise row distances. Move-only:
-/// a matrix created through `Create` carries a memory lease on the
-/// RunContext it was charged to and releases it on destruction.
-class DistanceMatrix {
- public:
-  /// Precomputes all pairs in O(n^2 m) with the tiled parallel fill.
-  /// Unguarded legacy entry point (tests, benches, experiment harness):
-  /// a table too large for the n^2 allocation aborts. Production paths
-  /// use `Create`.
-  explicit DistanceMatrix(const Table& table);
-
-  /// Guarded factory: accounts the n^2 footprint against `ctx`'s memory
-  /// budget (when `ctx` is non-null) and converts allocation failure
-  /// into a typed error instead of `bad_alloc`/abort:
-  ///   * kResourceExhausted — the budget or the address space cannot
-  ///     hold the matrix (ctx latches StopReason::kBudget), and
-  ///   * the ctx stop status — deadline/cancellation observed by the
-  ///     cancellation-aware tiled fill.
-  /// The returned matrix releases its charged bytes when destroyed, so
-  /// `ctx` must outlive it.
-  static StatusOr<DistanceMatrix> Create(const Table& table,
-                                         RunContext* ctx);
-
-  DistanceMatrix(const DistanceMatrix&) = delete;
-  DistanceMatrix& operator=(const DistanceMatrix&) = delete;
-  DistanceMatrix(DistanceMatrix&& other) noexcept;
-  DistanceMatrix& operator=(DistanceMatrix&& other) noexcept;
-  ~DistanceMatrix();
-
-  ColId at(RowId a, RowId b) const {
-    return dist_[static_cast<size_t>(a) * n_ + b];
-  }
-
-  RowId num_rows() const { return n_; }
-
-  /// Diameter of `rows` using the precomputed matrix (O(|rows|^2)).
-  ColId Diameter(std::span<const RowId> rows) const;
-
-  /// Distance from `row` to its j-th nearest *other* row (j >= 1), i.e.
-  /// the j-th order statistic of {at(row, x) : x != row}. Used by the
-  /// k-nearest-neighbor lower bound. Requires 1 <= j <= n-1.
-  ColId KthNearestDistance(RowId row, RowId j) const;
-
- private:
-  explicit DistanceMatrix(RowId n) : n_(n) {}
-  void ReleaseLease();
-
-  RowId n_ = 0;
-  std::vector<ColId> dist_;
-  RunContext* lease_ctx_ = nullptr;
-  size_t lease_bytes_ = 0;
-};
 
 }  // namespace kanon
 

@@ -2,33 +2,106 @@
 
 #include <algorithm>
 #include <new>
+#include <utility>
 
+#include "fault/fault.h"
 #include "util/logging.h"
+#include "util/parallel.h"
 
 namespace kanon {
+
+namespace {
+
+/// Rows per tile of the blocked table fill. A 64-row tile of 16-column
+/// uint32 codes is ~4 KiB per side, so one tile pair lives comfortably
+/// in L1 and each row is reused 64 times per load.
+constexpr RowId kDistanceTile = 64;
+
+/// Tiled symmetric fill of the all-pairs table. Cell (x, y) with x < y
+/// is written exactly once, by the tile pair (x/T, y/T), and tile rows
+/// are distributed across workers by ParallelFor, so writes are
+/// race-free and the result is bit-identical to the serial fill. With a
+/// stopped context the unvisited tail is simply left zero — callers
+/// must check ctx->ShouldStop() and discard the partial table.
+void FillDistanceTiled(const Table& table, ColId* dist, RunContext* ctx) {
+  const RowId n = table.num_rows();
+  const ColId m = table.num_columns();
+  const size_t num_tiles =
+      (static_cast<size_t>(n) + kDistanceTile - 1) / kDistanceTile;
+  ParallelFor(
+      0, num_tiles, /*min_chunk=*/1,
+      [&](size_t lo, size_t hi) {
+        for (size_t ta = lo; ta < hi; ++ta) {
+          const RowId a0 = static_cast<RowId>(ta * kDistanceTile);
+          const RowId a1 =
+              std::min<RowId>(n, a0 + kDistanceTile);
+          for (size_t tb = ta; tb < num_tiles; ++tb) {
+            // One cooperative checkpoint per tile pair: an injected
+            // fault expires the deadline exactly like a real one.
+            if (ctx != nullptr) {
+              if (KANON_FAULT_POINT("distance.build")) {
+                ctx->MarkStopped(StopReason::kDeadline);
+              }
+              if (ctx->ShouldStop()) return;
+            }
+            const RowId b0 = static_cast<RowId>(tb * kDistanceTile);
+            const RowId b1 =
+                std::min<RowId>(n, b0 + kDistanceTile);
+            for (RowId a = a0; a < a1; ++a) {
+              const ValueCode* ra = table.row(a).data();
+              for (RowId b = (tb == ta ? a + 1 : b0); b < b1; ++b) {
+                const ValueCode* rb = table.row(b).data();
+                ColId d = 0;
+                for (ColId j = 0; j < m; ++j) {
+                  d += static_cast<ColId>(ra[j] != rb[j]);
+                }
+                dist[static_cast<size_t>(a) * n + b] = d;
+                dist[static_cast<size_t>(b) * n + a] = d;
+              }
+            }
+          }
+        }
+      },
+      ctx);
+}
+
+}  // namespace
 
 StatusOr<std::unique_ptr<DistanceOracle>> DistanceOracle::Create(
     const Table& table, const DistanceOracleOptions& options,
     RunContext* ctx) {
   const RowId n = table.num_rows();
   std::unique_ptr<DistanceOracle> oracle(new DistanceOracle(table, n));
-  if (n <= options.dense_threshold) {
-    StatusOr<DistanceMatrix> matrix = DistanceMatrix::Create(table, ctx);
-    if (!matrix.ok()) return matrix.status();
-    oracle->matrix_.emplace(std::move(matrix).value());
-    return oracle;
+  if (n > options.dense_threshold) return oracle;
+
+  const size_t cells = static_cast<size_t>(n) * n;
+  const size_t bytes = cells * sizeof(ColId);
+  // Overflow / address-space guard: refuse instead of throwing.
+  if (n != 0 && (cells / n != n || bytes / sizeof(ColId) != cells)) {
+    if (ctx != nullptr) ctx->MarkStopped(StopReason::kBudget);
+    return Status::ResourceExhausted(
+        "distance table: n^2 cell count overflows");
   }
-  // Blocked on-demand path: charge the bounded strip cache up front so
-  // the footprint is visible to the budget before any strip exists.
-  oracle->max_strips_ =
-      std::min<size_t>(std::max<size_t>(options.max_cached_strips, 1), n);
-  const size_t bytes = oracle->max_strips_ * n * sizeof(ColId);
   if (ctx != nullptr && !ctx->TryChargeMemory(bytes)) {
     return Status::ResourceExhausted(
-        "distance oracle strip cache exceeds the run's memory budget");
+        "distance table exceeds the run's memory budget");
   }
+  // From here on the destructor releases the charge, on every path.
   oracle->lease_ctx_ = ctx;
   oracle->lease_bytes_ = bytes;
+  try {
+    oracle->dist_.resize(cells, 0);
+  } catch (const std::bad_alloc&) {
+    if (ctx != nullptr) ctx->MarkStopped(StopReason::kBudget);
+    return Status::ResourceExhausted(
+        "distance table allocation failed (bad_alloc)");
+  }
+  oracle->dense_ = true;
+  FillDistanceTiled(table, oracle->dist_.data(), ctx);
+  if (ctx != nullptr && ctx->ShouldStop()) {
+    // The partially filled table is discarded with the oracle.
+    return StopReasonToStatus(ctx->stop_reason());
+  }
   return oracle;
 }
 
@@ -36,63 +109,25 @@ DistanceOracle::~DistanceOracle() {
   if (lease_ctx_ != nullptr) lease_ctx_->ReleaseMemory(lease_bytes_);
 }
 
-const std::vector<ColId>& DistanceOracle::StripLocked(RowId row) const {
-  const auto it = strip_index_.find(row);
-  if (it != strip_index_.end()) {
-    strips_.splice(strips_.begin(), strips_, it->second);
-    return it->second->second;
-  }
-  std::vector<ColId> strip(n_);
-  const std::span<const ValueCode> r = table_.row(row);
-  for (RowId x = 0; x < n_; ++x) {
-    strip[x] = HammingDistance(r, table_.row(x));
-  }
-  strips_.emplace_front(row, std::move(strip));
-  strip_index_[row] = strips_.begin();
-  while (strips_.size() > max_strips_) {
-    strip_index_.erase(strips_.back().first);
-    strips_.pop_back();
-  }
-  return strips_.front().second;
-}
-
-ColId DistanceOracle::at(RowId a, RowId b) const {
-  if (matrix_.has_value()) return matrix_->at(a, b);
-  if (a == b) return 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  // Symmetric: a strip for either endpoint answers the query.
-  const auto hit_b = strip_index_.find(b);
-  if (hit_b != strip_index_.end()) return hit_b->second->second[a];
-  return StripLocked(a)[b];
-}
-
 ColId DistanceOracle::Diameter(std::span<const RowId> rows) const {
-  if (matrix_.has_value()) return matrix_->Diameter(rows);
-  // Group diameters touch |rows|^2 pairs of a small set; computing them
-  // straight from the rows avoids churning the strip cache.
   ColId diameter = 0;
   for (size_t i = 0; i < rows.size(); ++i) {
     for (size_t j = i + 1; j < rows.size(); ++j) {
-      diameter = std::max(diameter, RowDistance(table_, rows[i], rows[j]));
+      diameter = std::max(diameter, at(rows[i], rows[j]));
     }
   }
   return diameter;
 }
 
 ColId DistanceOracle::KthNearestDistance(RowId row, RowId j) const {
-  if (matrix_.has_value()) return matrix_->KthNearestDistance(row, j);
   KANON_CHECK_GE(j, 1u);
   KANON_CHECK_LT(j, n_);
-  // One-shot scan per caller: bypass the strip cache (these sweeps
-  // visit every row once and would evict the useful strips).
-  std::vector<ColId> others;
-  others.reserve(n_ - 1);
-  const std::span<const ValueCode> r = table_.row(row);
-  for (RowId x = 0; x < n_; ++x) {
-    if (x != row) others.push_back(HammingDistance(r, table_.row(x)));
-  }
-  std::nth_element(others.begin(), others.begin() + (j - 1), others.end());
-  return others[j - 1];
+  std::vector<ColId> dist(n_);
+  for (RowId x = 0; x < n_; ++x) dist[x] = at(row, x);
+  // at(row, row) = 0 is a minimum of the row, so the j-th smallest
+  // distance to another row is the (j+1)-th smallest entry overall.
+  std::nth_element(dist.begin(), dist.begin() + j, dist.end());
+  return dist[j];
 }
 
 namespace {

@@ -2,13 +2,8 @@
 #define KANON_CORE_DISTANCE_ORACLE_H_
 
 #include <cstddef>
-#include <list>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <span>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/distance.h"
@@ -18,25 +13,18 @@
 #include "util/status.h"
 
 /// \file
-/// The library's single authoritative source of pairwise row distances.
+/// The library's single source of pairwise row distances (Definition
+/// 4.1). It picks its representation by instance size:
 ///
-/// Before this seam existed every cover/cluster solver constructed its
-/// own dense `DistanceMatrix` — five unguarded n^2 allocations per
-/// pipeline for the exact same numbers. `DistanceOracle` replaces those
-/// with one component that picks its representation by instance size:
-///
-///   * **dense** (n <= options.dense_threshold): the tiled,
-///     ParallelFor-built all-pairs matrix, O(1) lookups;
-///   * **blocked on-demand** (above the threshold): no n^2 allocation;
-///     lookups compute one row *strip* (all n distances from one row) at
-///     a time and keep the most recent strips in a bounded LRU cache, so
-///     center-scan access patterns (mdav, cluster_greedy) stay O(1)
-///     amortized while the footprint is max_cached_strips * n.
-///
-/// Either way construction accounts its footprint against the
-/// RunContext memory budget and surfaces failure as a typed StatusOr —
-/// never bad_alloc — and the dense build is cancellation-aware and
-/// fault-point-probed like every other long kernel.
+///   * **dense** (n <= options.dense_threshold): the all-pairs n^2
+///     table, filled once by a cache-blocked tile loop spread over the
+///     worker pool. Lookups are O(1). The n^2 footprint is charged
+///     against the RunContext memory budget, and failure comes back as a
+///     typed StatusOr — never bad_alloc. The fill is cancellation-aware
+///     and probes the `distance.build` fault site;
+///   * **on demand** (above the threshold): no table at all. Each lookup
+///     is `RowDistance`, O(m). Center scans (mdav, cluster_greedy) read
+///     each row's distances once, so a cache would not pay for itself.
 ///
 /// Both representations return exactly the same distances, so solver
 /// outputs are bit-identical whichever path is active (the data-plane
@@ -45,21 +33,24 @@
 namespace kanon {
 
 struct DistanceOracleOptions {
-  /// Largest n for which the dense n^2 matrix is materialized.
+  /// Largest n for which the dense n^2 table is materialized.
   RowId dense_threshold = 4096;
-  /// Row strips kept by the on-demand path (clamped to n).
-  size_t max_cached_strips = 64;
 };
 
-/// Shared pairwise-distance component. Thread-safe: dense lookups are
-/// lock-free reads; on-demand lookups serialize on an internal mutex.
-/// Holds a reference to the source table, which must outlive it.
+/// Shared pairwise-distance component. Immutable after Create, so any
+/// number of threads may read it without locking. Holds a reference to
+/// the source table, which must outlive it.
 class DistanceOracle {
  public:
   /// Builds an oracle for `table`. `ctx` may be null (no accounting or
-  /// cancellation). Failure modes mirror DistanceMatrix::Create:
-  /// kResourceExhausted on budget/allocation failure (ctx latches
-  /// kBudget), or the stop status when the build was interrupted.
+  /// cancellation). The dense branch fails with
+  ///   * kResourceExhausted when the n^2 table overflows, exceeds the
+  ///     ctx memory budget or cannot be allocated (ctx latches kBudget),
+  ///     or
+  ///   * the ctx stop status when the fill observed a deadline or a
+  ///     cancellation.
+  /// The oracle releases its charged bytes when destroyed, so `ctx` must
+  /// outlive it. The on-demand branch cannot fail.
   static StatusOr<std::unique_ptr<DistanceOracle>> Create(
       const Table& table, const DistanceOracleOptions& options,
       RunContext* ctx);
@@ -70,52 +61,42 @@ class DistanceOracle {
 
   RowId num_rows() const { return n_; }
 
-  /// True when the dense matrix is materialized.
-  bool dense() const { return matrix_.has_value(); }
+  /// True when the dense n^2 table is materialized.
+  bool dense() const { return dense_; }
 
-  /// d(a, b). O(1) dense; O(1) amortized on-demand for strip-local
-  /// access patterns, O(nm) on a strip miss.
-  ColId at(RowId a, RowId b) const;
+  /// d(a, b). O(1) dense; O(m) on demand.
+  ColId at(RowId a, RowId b) const {
+    if (dense_) return dist_[static_cast<size_t>(a) * n_ + b];
+    return RowDistance(table_, a, b);
+  }
 
   /// Diameter of `rows`: max pairwise distance (0 for |rows| < 2).
   ColId Diameter(std::span<const RowId> rows) const;
 
-  /// Distance from `row` to its j-th nearest other row, 1 <= j <= n-1.
+  /// Distance from `row` to its j-th nearest *other* row, i.e. the j-th
+  /// order statistic of {at(row, x) : x != row}. Used by the k-nearest-
+  /// neighbour lower bound. Requires 1 <= j <= n-1.
   ColId KthNearestDistance(RowId row, RowId j) const;
 
  private:
-  DistanceOracle(const Table& table, RowId n)
-      : table_(table), n_(n) {}
-
-  /// Returns the strip of all n distances from `row`, computing and
-  /// caching it if absent. Caller must hold mu_.
-  const std::vector<ColId>& StripLocked(RowId row) const;
+  DistanceOracle(const Table& table, RowId n) : table_(table), n_(n) {}
 
   const Table& table_;
   const RowId n_;
-
-  // Dense representation (owns the memory lease on the ctx).
-  std::optional<DistanceMatrix> matrix_;
-
-  // On-demand representation: LRU of (row, strip).
-  size_t max_strips_ = 0;
-  mutable std::mutex mu_;
-  mutable std::list<std::pair<RowId, std::vector<ColId>>> strips_;
-  mutable std::unordered_map<
-      RowId, std::list<std::pair<RowId, std::vector<ColId>>>::iterator>
-      strip_index_;
+  bool dense_ = false;
+  std::vector<ColId> dist_;
   RunContext* lease_ctx_ = nullptr;
   size_t lease_bytes_ = 0;
 };
 
 /// The caller/RunContext-owned seam the solvers use. Returns the oracle
 /// cached on `ctx` (or an ancestor) for this table if one exists,
-/// otherwise builds one and caches it on `ctx`, so every solver stage
-/// handed the same context shares one oracle instead of rebuilding the
-/// matrix. On failure the ctx is latched (kBudget, or the stop reason)
-/// and the status is returned, so callers can uniformly decline with
-/// StoppedResult. `ctx` must be non-null and must outlive all uses of
-/// the returned pointer.
+/// otherwise builds one and caches it on `ctx`, so every solver handed
+/// the same context (or a child of it) shares one oracle instead of
+/// rebuilding the table. On failure the ctx is latched (kBudget, or the
+/// stop reason) and the status is returned, so callers can uniformly
+/// decline with StoppedResult. `ctx` must be non-null and must outlive
+/// all uses of the returned pointer.
 StatusOr<std::shared_ptr<const DistanceOracle>> SharedDistanceOracle(
     const Table& table, RunContext* ctx,
     const DistanceOracleOptions& options = {});

@@ -4,71 +4,19 @@
 
 namespace kanon {
 
-PackedTable::PackedTable(ColId num_columns) : cols_(num_columns) {}
-
 PackedTable::PackedTable(const Table& table)
-    : cols_(table.num_columns()) {
-  const RowId n = table.num_rows();
+    : num_rows_(table.num_rows()), cols_(table.num_columns()) {
   const ColId m = table.num_columns();
-  for (ColId c = 0; c < m; ++c) cols_[c].codes.reserve(n);
-  for (RowId r = 0; r < n; ++r) {
+  for (ColId c = 0; c < m; ++c) cols_[c].reserve(num_rows_);
+  for (RowId r = 0; r < num_rows_; ++r) {
     const std::span<const ValueCode> row = table.row(r);
-    for (ColId c = 0; c < m; ++c) {
-      cols_[c].codes.push_back(row[c]);
-      CountCode(&cols_[c], row[c]);
-    }
+    for (ColId c = 0; c < m; ++c) cols_[c].push_back(row[c]);
   }
-  num_rows_ = n;
-}
-
-void PackedTable::CountCode(Column* col, ValueCode code) {
-  if (code == kSuppressedCode) {
-    if (!col->seen_suppressed) {
-      col->seen_suppressed = true;
-      ++col->distinct;
-    }
-    return;
-  }
-  if (code >= col->seen.size()) col->seen.resize(code + 1, false);
-  if (!col->seen[code]) {
-    col->seen[code] = true;
-    ++col->distinct;
-  }
-}
-
-void PackedTable::AppendRow(std::span<const ValueCode> codes) {
-  KANON_CHECK_EQ(codes.size(), cols_.size());
-  for (ColId c = 0; c < codes.size(); ++c) {
-    cols_[c].codes.push_back(codes[c]);
-    CountCode(&cols_[c], codes[c]);
-  }
-  ++num_rows_;
 }
 
 std::span<const ValueCode> PackedTable::column(ColId c) const {
   KANON_CHECK_LT(c, cols_.size());
-  return cols_[c].codes;
-}
-
-size_t PackedTable::distinct_count(ColId c) const {
-  KANON_CHECK_LT(c, cols_.size());
-  return cols_[c].distinct;
-}
-
-ValueCode PackedTable::at(RowId r, ColId c) const {
-  KANON_CHECK_LT(c, cols_.size());
-  KANON_CHECK_LT(r, num_rows_);
-  return cols_[c].codes[r];
-}
-
-ColId PackedTable::RowHamming(RowId a, RowId b) const {
-  KANON_CHECK_LT(a, num_rows_);
-  KANON_CHECK_LT(b, num_rows_);
-  ColId d = 0;
-  for (const Column& col : cols_) {
-    d += static_cast<ColId>(col.codes[a] != col.codes[b]);
-  }
-  return d;
+  return cols_[c];
 }
 
 }  // namespace kanon

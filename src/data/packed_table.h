@@ -12,72 +12,31 @@
 ///
 /// `Table` stores rows contiguously (row-major), which is the right
 /// layout for the Hamming kernels that compare whole rows. Everything
-/// that scans *by attribute* — per-column mode counting, per-column
-/// distinct-value statistics, the content fingerprint of the service
-/// cache — wants the transpose: one contiguous code array per column, so
-/// the inner equality/count loops touch sequential memory and
-/// vectorize. `PackedTable` is that mirror: per-column packed code
-/// arrays plus per-column distinct-value counts, built in O(nm) from a
-/// `Table` and kept in sync row-by-row via `AppendRow` when the caller
-/// grows the source table and the mirror together.
+/// that scans *by attribute* — per-column mode counting, per-shard
+/// distinct counts, the content fingerprint of the service cache —
+/// wants the transpose: one contiguous code array per column, so the
+/// inner equality/count loops touch sequential memory and vectorize.
+/// `PackedTable` is that transpose, built in O(nm).
 
 namespace kanon {
 
-/// Immutable view of one packed column: the contiguous code array plus
-/// the number of distinct codes present in it.
-struct ColumnView {
-  std::span<const ValueCode> codes;
-  size_t distinct = 0;
-};
-
-/// Column-major mirror of a Table. Holds copies of the codes (not
-/// pointers into the source), so it remains valid independently of the
-/// source table's lifetime.
+/// Column-major copy of a Table's codes. Holds copies (not pointers into
+/// the source), so it remains valid independently of the source table's
+/// lifetime.
 class PackedTable {
  public:
-  /// Transposes `table` and counts per-column distinct values. O(nm).
+  /// Transposes `table`. O(nm).
   explicit PackedTable(const Table& table);
 
-  /// An empty mirror with `num_columns` columns (pair with AppendRow).
-  explicit PackedTable(ColId num_columns);
-
-  RowId num_rows() const { return static_cast<RowId>(num_rows_); }
+  RowId num_rows() const { return num_rows_; }
   ColId num_columns() const { return static_cast<ColId>(cols_.size()); }
-
-  /// Appends one row of codes (size must equal num_columns), updating
-  /// the per-column distinct counts. Callers that append to the source
-  /// Table and to its mirror in the same order keep the two in sync.
-  void AppendRow(std::span<const ValueCode> codes);
 
   /// Contiguous code array of column `c` (one entry per row).
   std::span<const ValueCode> column(ColId c) const;
 
-  /// Number of distinct codes present in column `c` (suppressed `*`
-  /// counts as one distinct code when present).
-  size_t distinct_count(ColId c) const;
-
-  ColumnView view(ColId c) const { return {column(c), distinct_count(c)}; }
-
-  ValueCode at(RowId r, ColId c) const;
-
-  /// Hamming distance between rows a and b computed column-wise; equals
-  /// HammingDistance over the source table's rows.
-  ColId RowHamming(RowId a, RowId b) const;
-
  private:
-  struct Column {
-    std::vector<ValueCode> codes;
-    /// Membership bitmap indexed by code (suppressed tracked aside) so
-    /// AppendRow maintains `distinct` in O(1) per cell.
-    std::vector<bool> seen;
-    bool seen_suppressed = false;
-    size_t distinct = 0;
-  };
-
-  void CountCode(Column* col, ValueCode code);
-
-  size_t num_rows_ = 0;
-  std::vector<Column> cols_;
+  RowId num_rows_ = 0;
+  std::vector<std::vector<ValueCode>> cols_;
 };
 
 }  // namespace kanon

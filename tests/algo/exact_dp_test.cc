@@ -2,7 +2,6 @@
 
 #include "core/bounds.h"
 #include "core/cost.h"
-#include "core/distance.h"
 #include "data/generators/clustered.h"
 #include "data/generators/uniform.h"
 #include "gtest/gtest.h"
@@ -90,10 +89,10 @@ TEST(ExactDpTest, RespectsKnnLowerBound) {
   Rng rng(3);
   const Table t = UniformTable(
       {.num_rows = 10, .num_columns = 5, .alphabet = 3}, &rng);
-  const DistanceMatrix dm(t);
+  const auto dm = *DistanceOracle::Create(t, {}, nullptr);
   ExactDpAnonymizer algo;
   for (const size_t k : {2u, 3u}) {
-    EXPECT_GE(algo.Run(t, k).cost, KnnLowerBound(t, dm, k));
+    EXPECT_GE(algo.Run(t, k).cost, KnnLowerBound(t, *dm, k));
   }
 }
 

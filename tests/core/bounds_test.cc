@@ -12,8 +12,8 @@ namespace {
 TEST(KnnLowerBoundTest, ZeroForKOne) {
   Rng rng(1);
   const Table t = UniformTable({.num_rows = 6, .num_columns = 4}, &rng);
-  const DistanceMatrix dm(t);
-  EXPECT_EQ(KnnLowerBound(t, dm, 1), 0u);
+  const auto dm = *DistanceOracle::Create(t, {}, nullptr);
+  EXPECT_EQ(KnnLowerBound(t, *dm, 1), 0u);
 }
 
 TEST(KnnLowerBoundTest, ZeroWhenEveryRowDuplicated) {
@@ -23,8 +23,8 @@ TEST(KnnLowerBoundTest, ZeroWhenEveryRowDuplicated) {
     t.AppendStringRow({"x", "y"});
     t.AppendStringRow({"x", "y"});
   }
-  const DistanceMatrix dm(t);
-  EXPECT_EQ(KnnLowerBound(t, dm, 2), 0u);
+  const auto dm = *DistanceOracle::Create(t, {}, nullptr);
+  EXPECT_EQ(KnnLowerBound(t, *dm, 2), 0u);
 }
 
 TEST(KnnLowerBoundTest, PositiveForDistinctRows) {
@@ -33,9 +33,9 @@ TEST(KnnLowerBoundTest, PositiveForDistinctRows) {
   t.AppendStringRow({"p"});
   t.AppendStringRow({"q"});
   t.AppendStringRow({"r"});
-  const DistanceMatrix dm(t);
+  const auto dm = *DistanceOracle::Create(t, {}, nullptr);
   // Every row's nearest other row differs in the single column.
-  EXPECT_EQ(KnnLowerBound(t, dm, 2), 3u);
+  EXPECT_EQ(KnnLowerBound(t, *dm, 2), 3u);
 }
 
 // Property: the kNN bound never exceeds the cost of any valid partition
@@ -49,9 +49,9 @@ TEST_P(KnnBoundPropertyTest, BoundBelowFeasibleCosts) {
       {.num_rows = n, .num_columns = 6, .alphabet = 5, .num_clusters = 3,
        .noise_flips = 1},
       &rng);
-  const DistanceMatrix dm(t);
+  const auto dm = *DistanceOracle::Create(t, {}, nullptr);
   for (const size_t k : {2u, 3u, 4u}) {
-    const size_t lb = KnnLowerBound(t, dm, k);
+    const size_t lb = KnnLowerBound(t, *dm, k);
     for (int trial = 0; trial < 5; ++trial) {
       Group all(n);
       for (RowId r = 0; r < n; ++r) all[r] = r;

@@ -1,10 +1,11 @@
-/// Equivalence suite for the columnar data plane: the packed mirror,
-/// the DistanceOracle (both representations), and the incremental
-/// GroupStats must agree *exactly* — same integers, not approximately —
-/// with the scalar row-major reference implementations, and every
-/// registered anonymizer must still produce the partition the seed
-/// (pre-refactor) build produced. The golden costs/hashes below were
-/// captured from the seed build on the same fixed seeded instances.
+/// Equivalence suite for the columnar data plane: the DistanceOracle
+/// (both representations) and the incremental GroupStats must agree
+/// *exactly* — same integers, not approximately — with the scalar
+/// row-major reference implementations, and every registered anonymizer
+/// must still produce the partition the seed (pre-refactor) build
+/// produced, whichever oracle representation it reads. The golden
+/// costs/hashes below were captured from the seed build on the same
+/// fixed seeded instances.
 #include <algorithm>
 #include <string>
 #include <vector>
@@ -16,7 +17,6 @@
 #include "core/group_stats.h"
 #include "data/generators/clustered.h"
 #include "data/generators/uniform.h"
-#include "data/packed_table.h"
 #include "gtest/gtest.h"
 #include "util/fingerprint.h"
 #include "util/random.h"
@@ -44,35 +44,23 @@ std::vector<RowId> RandomRowSet(const Table& t, Rng* rng) {
   return rows;
 }
 
-TEST(DataPlaneEquivalenceTest, PackedHammingMatchesScalar) {
-  for (const uint64_t seed : {1u, 2u, 3u}) {
-    const Table t = MakeTable(21, 6, seed);
-    const PackedTable packed(t);
-    for (RowId a = 0; a < t.num_rows(); ++a) {
-      for (RowId b = a; b < t.num_rows(); ++b) {
-        EXPECT_EQ(packed.RowHamming(a, b), RowDistance(t, a, b));
-      }
-    }
-  }
-}
-
 TEST(DataPlaneEquivalenceTest, OracleDiameterMatchesScalarSetDiameter) {
   const Table t = MakeTable(32, 5, 4);
   RunContext ctx;
   // Exercise both representations against the scalar reference.
   const auto dense =
       DistanceOracle::Create(t, DistanceOracleOptions{}, &ctx);
-  const auto blocked = DistanceOracle::Create(
-      t, DistanceOracleOptions{.dense_threshold = 0, .max_cached_strips = 4},
-      &ctx);
+  const auto on_demand =
+      DistanceOracle::Create(t, DistanceOracleOptions{.dense_threshold = 0},
+                             &ctx);
   ASSERT_TRUE(dense.ok());
-  ASSERT_TRUE(blocked.ok());
+  ASSERT_TRUE(on_demand.ok());
   Rng rng(5);
   for (int trial = 0; trial < 40; ++trial) {
     const std::vector<RowId> rows = RandomRowSet(t, &rng);
     const ColId want = SetDiameter(t, rows);
     EXPECT_EQ((*dense)->Diameter(rows), want);
-    EXPECT_EQ((*blocked)->Diameter(rows), want);
+    EXPECT_EQ((*on_demand)->Diameter(rows), want);
   }
 }
 
@@ -245,18 +233,33 @@ TEST(DataPlaneEquivalenceTest, GoldenCoversWholeRegistry) {
   }
 }
 
+// Two passes: the default (dense) oracle, then the on-demand one. The
+// second pass caches an on-demand oracle on the run's context first, so
+// every solver, wrapper and chain stage handed that context (or a child
+// of it) reads distances straight from the rows.
 TEST(DataPlaneEquivalenceTest, EveryAnonymizerReproducesSeedPartition) {
   const std::vector<Table> tables = GoldenTables();
-  for (const GoldenCase& g : kGolden) {
-    const auto algo = MakeAnonymizer(g.name);
-    ASSERT_NE(algo, nullptr) << g.name;
-    const AnonymizationResult r =
-        algo->Run(tables[static_cast<size_t>(g.table)], g.k);
-    EXPECT_EQ(r.cost, g.cost)
-        << g.name << " k=" << g.k << " table=" << g.table;
-    EXPECT_EQ(PartitionHash(r.partition), g.hash)
-        << g.name << " k=" << g.k << " table=" << g.table
-        << ": cost matches but the partition differs (tie-break drift)";
+  for (const bool on_demand : {false, true}) {
+    for (const GoldenCase& g : kGolden) {
+      const Table& t = tables[static_cast<size_t>(g.table)];
+      const auto algo = MakeAnonymizer(g.name);
+      ASSERT_NE(algo, nullptr) << g.name;
+      RunContext ctx;
+      if (on_demand) {
+        const auto oracle =
+            SharedDistanceOracle(t, &ctx, {.dense_threshold = 0});
+        ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+        ASSERT_FALSE((*oracle)->dense());
+      }
+      const AnonymizationResult r = algo->Run(t, g.k, &ctx);
+      EXPECT_EQ(r.cost, g.cost) << g.name << " k=" << g.k
+                                << " table=" << g.table
+                                << " on_demand=" << on_demand;
+      EXPECT_EQ(PartitionHash(r.partition), g.hash)
+          << g.name << " k=" << g.k << " table=" << g.table
+          << " on_demand=" << on_demand
+          << ": cost matches but the partition differs (tie-break drift)";
+    }
   }
 }
 

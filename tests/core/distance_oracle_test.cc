@@ -17,9 +17,11 @@ Table MakeTable(RowId n, ColId m, uint64_t seed) {
                       &rng);
 }
 
+// dense_threshold 0 forces the on-demand representation.
+constexpr DistanceOracleOptions kOnDemand{.dense_threshold = 0};
+
 TEST(DistanceOracleTest, DensePathMatchesMatrix) {
   const Table t = MakeTable(24, 6, 1);
-  const DistanceMatrix dm(t);
   RunContext ctx;
   const auto oracle =
       DistanceOracle::Create(t, DistanceOracleOptions{}, &ctx);
@@ -27,67 +29,65 @@ TEST(DistanceOracleTest, DensePathMatchesMatrix) {
   EXPECT_TRUE((*oracle)->dense());
   for (RowId a = 0; a < t.num_rows(); ++a) {
     for (RowId b = 0; b < t.num_rows(); ++b) {
-      EXPECT_EQ((*oracle)->at(a, b), dm.at(a, b));
+      EXPECT_EQ((*oracle)->at(a, b), RowDistance(t, a, b));
     }
   }
 }
 
 TEST(DistanceOracleTest, OnDemandPathMatchesMatrixExactly) {
   const Table t = MakeTable(40, 5, 2);
-  const DistanceMatrix dm(t);
-  // dense_threshold 0 forces the blocked on-demand representation, and
-  // a 4-strip cache forces LRU eviction during the sweep.
-  const DistanceOracleOptions options{.dense_threshold = 0,
-                                      .max_cached_strips = 4};
   RunContext ctx;
-  const auto oracle = DistanceOracle::Create(t, options, &ctx);
+  const auto dense = DistanceOracle::Create(t, {}, &ctx);
+  const auto oracle = DistanceOracle::Create(t, kOnDemand, &ctx);
+  ASSERT_TRUE(dense.ok()) << dense.status().ToString();
   ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
   EXPECT_FALSE((*oracle)->dense());
   for (RowId a = 0; a < t.num_rows(); ++a) {
     for (RowId b = 0; b < t.num_rows(); ++b) {
-      EXPECT_EQ((*oracle)->at(a, b), dm.at(a, b));
+      EXPECT_EQ((*oracle)->at(a, b), (*dense)->at(a, b));
     }
   }
-  // Diameter and k-NN answers agree with the dense matrix too.
+  // Diameter and k-NN answers agree with the dense table too.
   Rng rng(3);
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<RowId> rows;
     for (RowId r = 0; r < t.num_rows(); ++r) {
       if (rng.Uniform(3) == 0) rows.push_back(r);
     }
-    EXPECT_EQ((*oracle)->Diameter(rows), dm.Diameter(rows));
+    EXPECT_EQ((*oracle)->Diameter(rows), (*dense)->Diameter(rows));
   }
   for (RowId r = 0; r < t.num_rows(); ++r) {
     for (RowId j = 1; j < 5; ++j) {
       EXPECT_EQ((*oracle)->KthNearestDistance(r, j),
-                dm.KthNearestDistance(r, j));
+                (*dense)->KthNearestDistance(r, j));
     }
   }
+  // Only the dense table is charged to the budget.
+  EXPECT_EQ(ctx.peak_memory_bytes(), 40 * 40 * sizeof(ColId));
 }
 
 TEST(DistanceOracleTest, KnnLowerBoundAgreesAcrossRepresentations) {
   const Table t = MakeTable(30, 6, 4);
-  const DistanceMatrix dm(t);
   RunContext ctx;
-  const DistanceOracleOptions on_demand{.dense_threshold = 0,
-                                        .max_cached_strips = 8};
-  const auto oracle = DistanceOracle::Create(t, on_demand, &ctx);
+  const auto dense = DistanceOracle::Create(t, {}, &ctx);
+  const auto oracle = DistanceOracle::Create(t, kOnDemand, &ctx);
+  ASSERT_TRUE(dense.ok());
   ASSERT_TRUE(oracle.ok());
   for (const size_t k : {2u, 3u, 5u}) {
-    EXPECT_EQ(KnnLowerBound(t, **oracle, k), KnnLowerBound(t, dm, k));
+    EXPECT_EQ(KnnLowerBound(t, **oracle, k), KnnLowerBound(t, **dense, k));
   }
 }
 
-// Regression for the historical crash path: a matrix bigger than the
+// Regression for the historical crash path: a table bigger than the
 // memory budget must come back as a typed kResourceExhausted status
 // (latched on the context), never a bad_alloc or an abort.
 TEST(DistanceOracleTest, MatrixOverBudgetIsTypedError) {
   const Table t = MakeTable(64, 4, 5);
   RunContext ctx;
   ctx.set_memory_limit_bytes(1024);  // far below 64*64*4 bytes
-  const StatusOr<DistanceMatrix> dm = DistanceMatrix::Create(t, &ctx);
-  ASSERT_FALSE(dm.ok());
-  EXPECT_EQ(dm.status().code(), StatusCode::kResourceExhausted);
+  const auto oracle = DistanceOracle::Create(t, {}, &ctx);
+  ASSERT_FALSE(oracle.ok());
+  EXPECT_EQ(oracle.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(ctx.stop_reason(), StopReason::kBudget);
 }
 
@@ -105,12 +105,12 @@ TEST(DistanceOracleTest, MatrixLeaseReleasesOnDestruction) {
   const Table t = MakeTable(32, 4, 7);
   const size_t bytes = 32 * 32 * sizeof(ColId);
   RunContext ctx;
-  ctx.set_memory_limit_bytes(bytes);  // exactly one matrix fits
+  ctx.set_memory_limit_bytes(bytes);  // exactly one table fits
   {
-    const StatusOr<DistanceMatrix> dm = DistanceMatrix::Create(t, &ctx);
-    ASSERT_TRUE(dm.ok()) << dm.status().ToString();
+    const auto oracle = DistanceOracle::Create(t, {}, &ctx);
+    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
     EXPECT_EQ(ctx.peak_memory_bytes(), bytes);
-    // A second matrix cannot fit while the first holds its lease...
+    // A second table cannot fit while the first holds its lease...
     EXPECT_FALSE(ctx.TryChargeMemory(bytes));
   }
   // ...but fits again once the lease is released. (kBudget stays
@@ -123,9 +123,9 @@ TEST(DistanceOracleTest, CancelledBuildReturnsStopStatus) {
   const Table t = MakeTable(48, 4, 8);
   RunContext ctx;
   ctx.RequestCancel();
-  const StatusOr<DistanceMatrix> dm = DistanceMatrix::Create(t, &ctx);
-  ASSERT_FALSE(dm.ok());
-  EXPECT_EQ(dm.status().code(), StatusCode::kCancelled);
+  const auto oracle = DistanceOracle::Create(t, {}, &ctx);
+  ASSERT_FALSE(oracle.ok());
+  EXPECT_EQ(oracle.status().code(), StatusCode::kCancelled);
 }
 
 TEST(DistanceOracleTest, SharedOracleIsReusedAcrossCallers) {

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "core/distance_oracle.h"
 #include "data/generators/uniform.h"
 #include "gtest/gtest.h"
 #include "util/random.h"
@@ -81,15 +82,16 @@ TEST(SetDiameterTest, PaperExampleGroupDiameter) {
   EXPECT_EQ(SetDiameter(t, all), 2u);
 }
 
+// The oracle's dense all-pairs table.
 TEST(DistanceMatrixTest, MatchesDirectComputation) {
   Rng rng(2);
   const Table t = UniformTable({.num_rows = 15, .num_columns = 5}, &rng);
-  const DistanceMatrix dm(t);
-  EXPECT_EQ(dm.num_rows(), 15u);
+  const auto dm = *DistanceOracle::Create(t, {}, nullptr);
+  EXPECT_EQ(dm->num_rows(), 15u);
   for (RowId a = 0; a < t.num_rows(); ++a) {
-    EXPECT_EQ(dm.at(a, a), 0u);
+    EXPECT_EQ(dm->at(a, a), 0u);
     for (RowId b = 0; b < t.num_rows(); ++b) {
-      EXPECT_EQ(dm.at(a, b), RowDistance(t, a, b));
+      EXPECT_EQ(dm->at(a, b), RowDistance(t, a, b));
     }
   }
 }
@@ -97,28 +99,28 @@ TEST(DistanceMatrixTest, MatchesDirectComputation) {
 TEST(DistanceMatrixTest, DiameterMatchesSetDiameter) {
   Rng rng(3);
   const Table t = UniformTable({.num_rows = 12, .num_columns = 6}, &rng);
-  const DistanceMatrix dm(t);
+  const auto dm = *DistanceOracle::Create(t, {}, nullptr);
   const std::vector<RowId> rows = {1, 4, 7, 9};
-  EXPECT_EQ(dm.Diameter(rows), SetDiameter(t, rows));
+  EXPECT_EQ(dm->Diameter(rows), SetDiameter(t, rows));
 }
 
 TEST(DistanceMatrixTest, KthNearestIsMonotone) {
   Rng rng(4);
   const Table t = UniformTable({.num_rows = 10, .num_columns = 8}, &rng);
-  const DistanceMatrix dm(t);
+  const auto dm = *DistanceOracle::Create(t, {}, nullptr);
   for (RowId r = 0; r < t.num_rows(); ++r) {
     for (RowId j = 1; j + 1 < t.num_rows(); ++j) {
-      EXPECT_LE(dm.KthNearestDistance(r, j),
-                dm.KthNearestDistance(r, j + 1));
+      EXPECT_LE(dm->KthNearestDistance(r, j),
+                dm->KthNearestDistance(r, j + 1));
     }
   }
 }
 
 TEST(DistanceMatrixTest, FirstNearestOfDuplicateIsZero) {
   const Table t = CodesTable({{"a", "b"}, {"a", "b"}, {"c", "d"}});
-  const DistanceMatrix dm(t);
-  EXPECT_EQ(dm.KthNearestDistance(0, 1), 0u);  // row 1 is identical
-  EXPECT_EQ(dm.KthNearestDistance(2, 1), 2u);  // nearest differs fully
+  const auto dm = *DistanceOracle::Create(t, {}, nullptr);
+  EXPECT_EQ(dm->KthNearestDistance(0, 1), 0u);  // row 1 is identical
+  EXPECT_EQ(dm->KthNearestDistance(2, 1), 2u);  // nearest differs fully
 }
 
 }  // namespace

@@ -198,7 +198,7 @@ TEST(CoresetAnonymizerTest, HostileSnapshotColdStartsInsteadOfTrusting) {
   const AnonymizationResult golden = golden_algo.Run(table, 4, &golden_ctx);
   ASSERT_TRUE(golden.completed());
 
-  for (const std::string payload :
+  for (const std::string& payload :
        {std::string(), std::string("garbage"),
         std::string(200, '\xff')}) {
     CoresetAnonymizer algo = MakeWrapper("mdav", options);

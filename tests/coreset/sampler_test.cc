@@ -34,7 +34,9 @@ void CheckSampleInvariants(const CoresetSample& sample, size_t n,
   size_t total = 0;
   for (size_t i = 0; i < sample.rows.size(); ++i) {
     ASSERT_LT(sample.rows[i], n);
-    if (i > 0) ASSERT_LT(sample.rows[i - 1], sample.rows[i]);
+    if (i > 0) {
+      ASSERT_LT(sample.rows[i - 1], sample.rows[i]);
+    }
     ASSERT_GE(sample.weights[i], 1u);
     total += sample.weights[i];
   }

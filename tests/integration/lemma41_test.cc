@@ -5,6 +5,7 @@
 #include "algo/exact_dp.h"
 #include "core/cost.h"
 #include "core/distance.h"
+#include "core/distance_oracle.h"
 #include "data/generators/clustered.h"
 #include "data/generators/uniform.h"
 #include "gtest/gtest.h"
@@ -33,7 +34,7 @@ namespace {
 /// Exponential; for n <= 10 only.
 size_t MinDiameterSum(const Table& table, size_t k) {
   const RowId n = table.num_rows();
-  const DistanceMatrix dm(table);
+  const auto dm = *DistanceOracle::Create(table, {}, nullptr);
   std::vector<RowId> unassigned(n);
   for (RowId r = 0; r < n; ++r) unassigned[r] = r;
 
@@ -61,7 +62,7 @@ size_t MinDiameterSum(const Table& table, size_t k) {
     std::function<void(size_t)> extend = [&](size_t pos) {
       if (group.size() >= k) {
         for (const RowId r : group) assigned[r] = true;
-        recurse(current_sum + dm.Diameter(group));
+        recurse(current_sum + dm->Diameter(group));
         for (const RowId r : group) assigned[r] = false;
       }
       if (group.size() == 2 * k - 1) return;

@@ -4,7 +4,7 @@
 #include <numeric>
 #include <vector>
 
-#include "core/distance.h"
+#include "core/distance_oracle.h"
 #include "data/generators/uniform.h"
 #include "gtest/gtest.h"
 #include "util/random.h"
@@ -171,19 +171,19 @@ TEST(ParallelDistanceMatrixTest, IdenticalToSerial) {
   std::vector<ColId> serial, parallel;
   {
     ParallelismGuard guard(1);
-    const DistanceMatrix dm(t);
+    const auto dm = *DistanceOracle::Create(t, {}, nullptr);
     for (RowId a = 0; a < t.num_rows(); ++a) {
       for (RowId b = 0; b < t.num_rows(); ++b) {
-        serial.push_back(dm.at(a, b));
+        serial.push_back(dm->at(a, b));
       }
     }
   }
   {
     ParallelismGuard guard(8);
-    const DistanceMatrix dm(t);
+    const auto dm = *DistanceOracle::Create(t, {}, nullptr);
     for (RowId a = 0; a < t.num_rows(); ++a) {
       for (RowId b = 0; b < t.num_rows(); ++b) {
-        parallel.push_back(dm.at(a, b));
+        parallel.push_back(dm->at(a, b));
       }
     }
   }
