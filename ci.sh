@@ -155,6 +155,66 @@ run_ckpt_drill() {
   rm -rf "${dir}"
 }
 
+# Distance A/B gate: HEAD's tiled n=2048 distance build against the
+# parent commit's, both built and timed on this host (a baseline file
+# recorded on another machine measures the machine, not the change).
+# Builds bench_micro_distance at HEAD~1 in a detached worktree with the
+# same configuration, runs the two binaries alternately for
+# DISTANCE_AB_PAIRS pairs (alternating which goes first), and fails when
+# HEAD's median exceeds 1.25x the parent's. $1 = HEAD's binary.
+DISTANCE_AB_PAIRS=7
+run_distance_ab() {
+  local tree
+  tree="$(mktemp -d)"
+  git worktree add --detach "${tree}" HEAD~1 >/dev/null 2>&1 \
+    || { echo "distance A/B FAIL: cannot check out HEAD~1" >&2; exit 1; }
+  cmake -B "${tree}/build" -S "${tree}" >/dev/null
+  cmake --build "${tree}/build" -j"${JOBS}" --target bench_micro_distance \
+    >/dev/null
+  local i side bin order
+  for i in $(seq 1 "${DISTANCE_AB_PAIRS}"); do
+    order="head parent"
+    (( i % 2 )) || order="parent head"
+    for side in ${order}; do
+      bin="$1"
+      [ "${side}" = parent ] && bin="${tree}/build/bench/bench_micro_distance"
+      "${bin}" --benchmark_filter='DistanceMatrixBuildTiled/2048$' \
+        --benchmark_out="${tree}/${side}_${i}.json" \
+        --benchmark_out_format=json >/dev/null
+    done
+  done
+  local verdict=0
+  AB_DIR="${tree}" AB_NPROC="$(nproc)" \
+    AB_CPU="$(grep -m1 'model name' /proc/cpuinfo | cut -d: -f2- | xargs)" \
+    AB_BUILD="$(./build/examples/kanond --version | grep -o 'build=[^ ]*')" \
+    python3 - <<'PY' || verdict=1
+import glob
+import json
+import os
+import statistics
+
+def median_ms(side):
+    times = []
+    for path in glob.glob(os.path.join(os.environ["AB_DIR"], side + "_*.json")):
+        with open(path) as f:
+            times += [b["real_time"] for b in json.load(f)["benchmarks"]
+                      if b["name"] == "BM_DistanceMatrixBuildTiled/2048"]
+    return statistics.median(times), len(times)
+
+head, pairs = median_ms("head")
+parent, _ = median_ms("parent")
+print(f"n=2048 tiled, median of {pairs} alternating pairs: parent "
+      f"{parent:.1f} ms, HEAD {head:.1f} ms ({head / parent:.2f}x) "
+      f"[nproc={os.environ['AB_NPROC']} cpu={os.environ['AB_CPU']} "
+      f"{os.environ['AB_BUILD']}]")
+assert head <= 1.25 * parent, (
+    f"tiled distance build regressed: HEAD {head:.1f} ms vs parent "
+    f"{parent:.1f} ms (>1.25x)")
+PY
+  git worktree remove --force "${tree}"
+  [ "${verdict}" = 0 ] || exit 1
+}
+
 echo "=== tier-1: default build ==="
 # Warnings are errors here, so the default build stays warning-free.
 cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
@@ -344,10 +404,12 @@ assert run["goodput_rps"] >= baseline["goodput_rps"] / 4, (
     f"baseline {baseline['goodput_rps']:.1f} (>4x)")
 EOF
 
-echo "=== perf smoke: tiled distance build vs scalar seed ==="
+echo "=== perf gate: tiled distance build vs scalar seed and vs HEAD~1 ==="
 # The columnar data plane's headline win: the tiled parallel matrix
-# fill must beat the seed's serial row-major double loop at n = 2048.
-# The raw google-benchmark numbers land in BENCH_distance.json.
+# fill must beat the seed's serial row-major double loop at n = 2048 in
+# the same run, and must not regress against the parent commit (A/B on
+# this host, see run_distance_ab). The raw google-benchmark numbers of
+# the same-run check land in BENCH_distance.json.
 ./build/bench/bench_micro_distance \
   --benchmark_filter='DistanceMatrixBuild' \
   --benchmark_out=BENCH_distance.json --benchmark_out_format=json \
@@ -355,28 +417,16 @@ echo "=== perf smoke: tiled distance build vs scalar seed ==="
 python3 - <<'EOF'
 import json
 
-def load(path):
-    with open(path) as f:
-        return {b["name"]: b for b in json.load(f)["benchmarks"]
-                if b.get("run_type") == "iteration"}
-
-runs = load("BENCH_distance.json")
+with open("BENCH_distance.json") as f:
+    runs = {b["name"]: b for b in json.load(f)["benchmarks"]
+            if b.get("run_type") == "iteration"}
 scalar = runs["BM_DistanceMatrixBuildScalarSeed/2048"]["real_time"]
 tiled = runs["BM_DistanceMatrixBuildTiled/2048"]["real_time"]
 print(f"n=2048: scalar seed {scalar:.1f} ms, tiled {tiled:.1f} ms "
       f"({scalar / tiled:.2f}x)")
 assert tiled < scalar, "tiled distance build no faster than scalar seed"
-
-# Regression gate against the committed baseline: the tiled build may
-# drift up to 25% (shared-runner noise) before CI goes red.
-baseline = load("bench/BENCH_distance_baseline.json")
-ref = baseline["BM_DistanceMatrixBuildTiled/2048"]["real_time"]
-print(f"n=2048: tiled baseline {ref:.1f} ms, now {tiled:.1f} ms "
-      f"({tiled / ref:.2f}x of baseline)")
-assert tiled <= 1.25 * ref, (
-    f"tiled distance build regressed: {tiled:.1f} ms vs "
-    f"baseline {ref:.1f} ms (>25%)")
 EOF
+run_distance_ab ./build/bench/bench_micro_distance
 
 echo "=== terminal-path guard: the suppress_all answer grows linearly ==="
 # The path a request falls back to once its retry budget is spent

@@ -70,9 +70,13 @@
 //
 // Protocol (one request per line, one response line per request):
 //   anonymize algo=<name> k=<int> [deadline_ms=<f>] [budget=<int>]
-//             [priority=<int>] [emit=0|1] csv=<inline>|file=<path>
+//             [priority=<int>] [emit=0|1] [coreset_rate=<f>]
+//             [coreset_seed=<int>] [shards=<int>]
+//             [shard_parallelism=<int>] csv=<inline>|file=<path>
 //   stats
 //   shutdown
+// The four knobs apply to every coreset_ / sharded_ level of the
+// algorithm (0 = default; src/algo/registry.h has the name grammar).
 // Inline CSV uses ';' as the record separator:
 //   csv=age,zip;30,10001;30,10001
 // Responses are `ok ...` / `error code=<CODE> error=<taxonomy> ...`

@@ -49,11 +49,10 @@ struct FallbackOptions {
   double non_final_deadline_fraction = 0.5;
   /// Optional per-stage admission gate (not owned; may be null).
   StageGate* gate = nullptr;
-  /// Optional stage factory; null = registry MakeAnonymizer. The seam
-  /// the service layer uses to thread per-request knobs (coreset sample
-  /// rate/seed) into stages the registry would build with defaults. A
-  /// factory returning nullptr for a stage name is a caller bug, same
-  /// as an unknown registry name.
+  /// Optional stage factory; null = registry MakeAnonymizer. The service
+  /// layer passes the request's wrapper knobs through it, and a traced
+  /// replay wraps each stage in a timer. A factory returning nullptr for
+  /// a stage name is a caller bug, same as an unknown registry name.
   std::function<std::unique_ptr<Anonymizer>(const std::string&)>
       make_stage;
 };

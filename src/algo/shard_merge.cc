@@ -1,59 +1,14 @@
 #include "algo/shard_merge.h"
 
 #include <cstdint>
-#include <limits>
 #include <utility>
 
+#include "core/distance.h"
+#include "core/group_stats.h"
 #include "fault/fault.h"
 #include "util/logging.h"
 
 namespace kanon {
-
-namespace {
-
-/// Weight-aware per-column mode of a table-coordinate group (ties ->
-/// lowest code) — the same centroid the coreset repair pass uses, so
-/// both repair planes degrade identically on the same shapes.
-std::vector<ValueCode> ModeCentroid(const Table& table,
-                                    const Group& group) {
-  const ColId m = table.num_columns();
-  std::vector<ValueCode> centroid(m);
-  std::vector<std::pair<ValueCode, uint64_t>> counts;
-  for (ColId c = 0; c < m; ++c) {
-    counts.clear();
-    for (const RowId r : group) {
-      const ValueCode code = table.at(r, c);
-      bool found = false;
-      for (auto& [existing, count] : counts) {
-        if (existing == code) {
-          count += table.row_weight(r);
-          found = true;
-          break;
-        }
-      }
-      if (!found) counts.emplace_back(code, table.row_weight(r));
-    }
-    ValueCode best_code = 0;
-    uint64_t best_count = 0;
-    for (const auto& [code, count] : counts) {
-      if (count > best_count || (count == best_count && code < best_code)) {
-        best_code = code;
-        best_count = count;
-      }
-    }
-    centroid[c] = best_code;
-  }
-  return centroid;
-}
-
-uint32_t CentroidDistance(const std::vector<ValueCode>& a,
-                          const std::vector<ValueCode>& b) {
-  uint32_t d = 0;
-  for (size_t c = 0; c < a.size(); ++c) d += (a[c] != b[c]);
-  return d;
-}
-
-}  // namespace
 
 StatusOr<ShardMergeOutcome> MergeShardPartitions(
     const Table& table, const ShardPlan& plan,
@@ -130,15 +85,15 @@ StatusOr<ShardMergeOutcome> MergeShardPartitions(
       // common all-shards-valid merge never pays for them.
       centroids.resize(outcome.partition.num_groups());
       for (size_t i = 0; i < outcome.partition.num_groups(); ++i) {
-        centroids[i] = ModeCentroid(table, outcome.partition.groups[i]);
+        centroids[i] =
+            WeightedModeCentroid(table, outcome.partition.groups[i]);
       }
     }
     size_t target = victim == 0 ? 1 : 0;
-    uint32_t best_d = CentroidDistance(centroids[victim],
-                                       centroids[target]);
+    uint32_t best_d = HammingDistance(centroids[victim], centroids[target]);
     for (size_t i = 0; i < outcome.partition.num_groups(); ++i) {
       if (i == victim) continue;
-      const uint32_t d = CentroidDistance(centroids[victim], centroids[i]);
+      const uint32_t d = HammingDistance(centroids[victim], centroids[i]);
       if (d < best_d || (d == best_d && i < target)) {
         best_d = d;
         target = i;
@@ -147,7 +102,7 @@ StatusOr<ShardMergeOutcome> MergeShardPartitions(
     Group& dst = outcome.partition.groups[target];
     Group& src = outcome.partition.groups[victim];
     dst.insert(dst.end(), src.begin(), src.end());
-    centroids[target] = ModeCentroid(table, dst);
+    centroids[target] = WeightedModeCentroid(table, dst);
     outcome.partition.groups.erase(outcome.partition.groups.begin() +
                                    static_cast<long>(victim));
     centroids.erase(centroids.begin() + static_cast<long>(victim));

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "algo/registry.h"
 #include "chaos/legs.h"
 #include "core/anonymity.h"
 #include "data/csv_table.h"
@@ -60,8 +61,9 @@ AnonymizeRequest DrawRequest(Rng* rng,
   AnonymizeRequest request;
   request.algorithm =
       algorithms[rng->Uniform(static_cast<uint32_t>(algorithms.size()))];
-  const bool coreset = request.algorithm.rfind("coreset_", 0) == 0;
-  const bool sharded = request.algorithm.rfind("sharded_", 0) == 0;
+  const AlgorithmName name = ParseAlgorithmName(request.algorithm).value();
+  const bool coreset = name.Has(AlgorithmWrapper::kCoreset);
+  const bool sharded = name.Has(AlgorithmWrapper::kSharded);
   UniformTableOptions table;
   // Coreset jobs need enough rows that the sampler's min_sample floor
   // does not short-circuit to the direct path; sharded jobs need
@@ -196,10 +198,10 @@ std::vector<AnonymizeResponse> CollectJobs(JobQueue* queue,
     const std::string job = "job " + std::to_string(response.id) + " (" +
                             request.algorithm + "): ";
     // Invariant 10 is invariant 1 for sharded jobs.
-    const int number = leg.invariant == 1 &&
-                               request.algorithm.rfind("sharded_", 0) == 0
-                           ? 10
-                           : leg.invariant;
+    const bool sharded = ParseAlgorithmName(request.algorithm)
+                             .value()
+                             .Has(AlgorithmWrapper::kSharded);
+    const int number = leg.invariant == 1 && sharded ? 10 : leg.invariant;
     if (response.ok()) {
       ++leg.report->ok;
       if (response.error != ServiceError::kNone) {

@@ -3,6 +3,7 @@
 #include <string>
 #include <utility>
 
+#include "algo/registry.h"
 #include "chaos/legs.h"
 #include "fault/fault.h"
 #include "service/overload/overload.h"
@@ -123,8 +124,9 @@ struct SimArrival {
 };
 
 double SimCostOf(const std::string& algorithm) {
-  if (algorithm.rfind("coreset_", 0) == 0) return 2.0;
-  if (algorithm.rfind("sharded_", 0) == 0) return 5.0;
+  const AlgorithmName name = ParseAlgorithmName(algorithm).value();
+  if (name.Has(AlgorithmWrapper::kCoreset)) return 2.0;
+  if (name.Has(AlgorithmWrapper::kSharded)) return 5.0;
   if (algorithm == "suppress_all") return 0.5;
   return 10.0;
 }
@@ -235,7 +237,6 @@ void CheckGoodput(uint64_t seed, const Leg& leg) {
 /// ladder's direct entry points; composed names and wrappers are left
 /// alone at yellow).
 bool YellowRewritable(const std::string& algorithm) {
-  if (algorithm.find('+') != std::string::npos) return false;
   return algorithm == "mdav" || algorithm == "cluster_greedy" ||
          algorithm == "ball_cover" || algorithm == "exact_dp" ||
          algorithm == "branch_bound";

@@ -110,4 +110,36 @@ size_t GroupStats::CostReplacing(RowId out, RowId in) const {
          static_cast<size_t>(d);
 }
 
+std::vector<ValueCode> WeightedModeCentroid(const Table& table,
+                                            std::span<const RowId> rows) {
+  const ColId m = table.num_columns();
+  std::vector<ValueCode> centroid(m);
+  std::vector<std::pair<ValueCode, uint64_t>> counts;
+  for (ColId c = 0; c < m; ++c) {
+    counts.clear();
+    for (const RowId r : rows) {
+      const ValueCode code = table.at(r, c);
+      bool found = false;
+      for (auto& [existing, count] : counts) {
+        if (existing == code) {
+          count += table.row_weight(r);
+          found = true;
+          break;
+        }
+      }
+      if (!found) counts.emplace_back(code, table.row_weight(r));
+    }
+    ValueCode best_code = 0;
+    uint64_t best_count = 0;
+    for (const auto& [code, count] : counts) {
+      if (count > best_count || (count == best_count && code < best_code)) {
+        best_code = code;
+        best_count = count;
+      }
+    }
+    centroid[c] = best_code;
+  }
+  return centroid;
+}
+
 }  // namespace kanon

@@ -89,6 +89,12 @@ class GroupStats {
   std::vector<std::vector<std::pair<ValueCode, uint32_t>>> counts_;
 };
 
+/// Per-column mode of the group `rows`, each row counted with its
+/// weight (ties -> lowest code): the representative the shard-merge and
+/// coreset-assignment repairs compare groups by (HammingDistance).
+std::vector<ValueCode> WeightedModeCentroid(const Table& table,
+                                            std::span<const RowId> rows);
+
 }  // namespace kanon
 
 #endif  // KANON_CORE_GROUP_STATS_H_

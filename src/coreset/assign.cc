@@ -5,47 +5,14 @@
 #include <limits>
 #include <utility>
 
+#include "core/distance.h"
+#include "core/group_stats.h"
 #include "fault/fault.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 
 namespace kanon {
 namespace {
-
-/// Weighted per-column mode of a sample group (ties -> lowest code); the
-/// same centroid MDAV uses, with row weights multiplying the counts.
-std::vector<ValueCode> WeightedModeCentroid(const Table& sample,
-                                            const Group& group) {
-  const ColId m = sample.num_columns();
-  std::vector<ValueCode> centroid(m);
-  std::vector<std::pair<ValueCode, uint64_t>> counts;
-  for (ColId c = 0; c < m; ++c) {
-    counts.clear();
-    for (const RowId r : group) {
-      const ValueCode code = sample.at(r, c);
-      bool found = false;
-      for (auto& [existing, count] : counts) {
-        if (existing == code) {
-          count += sample.row_weight(r);
-          found = true;
-          break;
-        }
-      }
-      if (!found) counts.emplace_back(code, sample.row_weight(r));
-    }
-    ValueCode best_code = 0;
-    uint64_t best_count = 0;
-    for (const auto& [code, count] : counts) {
-      if (count > best_count ||
-          (count == best_count && code < best_code)) {
-        best_code = code;
-        best_count = count;
-      }
-    }
-    centroid[c] = best_code;
-  }
-  return centroid;
-}
 
 /// Hamming distance from a row to a centroid, early-exiting once it can
 /// no longer beat `bound`.
@@ -57,14 +24,6 @@ uint32_t BoundedDistance(std::span<const ValueCode> row,
     d += (row[c] != centroid[c]);
     if (d >= bound) return d;
   }
-  return d;
-}
-
-/// Hamming distance between two centroids.
-uint32_t CentroidDistance(const std::vector<ValueCode>& a,
-                          const std::vector<ValueCode>& b) {
-  uint32_t d = 0;
-  for (size_t c = 0; c < a.size(); ++c) d += (a[c] != b[c]);
   return d;
 }
 
@@ -171,11 +130,10 @@ StatusOr<AssignmentOutcome> AssignToCoresetGroups(
     }
     if (victim == outcome.partition.num_groups()) break;  // all >= k
     size_t target = victim == 0 ? 1 : 0;
-    uint32_t best_d = CentroidDistance(centroids[victim],
-                                       centroids[target]);
+    uint32_t best_d = HammingDistance(centroids[victim], centroids[target]);
     for (size_t i = 0; i < outcome.partition.num_groups(); ++i) {
       if (i == victim) continue;
-      const uint32_t d = CentroidDistance(centroids[victim], centroids[i]);
+      const uint32_t d = HammingDistance(centroids[victim], centroids[i]);
       if (d < best_d || (d == best_d && i < target)) {
         best_d = d;
         target = i;

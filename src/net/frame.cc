@@ -143,6 +143,10 @@ std::string EncodeNetRequest(const NetRequest& request) {
     if (r.emit_csv) flags |= kFlagEmitCsv;
     w.PutU32(flags);
     w.PutBytes(r.csv_text);
+    w.PutDouble(r.coreset_rate);
+    w.PutU64(r.coreset_seed);
+    w.PutU64(r.shards);
+    w.PutU64(r.shard_parallelism);
   }
   return EncodeFrame(w.bytes());
 }
@@ -165,6 +169,10 @@ StatusOr<NetRequest> DecodeNetRequest(std::string_view body) {
     const uint32_t flags = r.GetU32();
     req.request.emit_csv = (flags & kFlagEmitCsv) != 0;
     req.request.csv_text = std::string(r.GetBytes());
+    req.request.coreset_rate = r.GetDouble();
+    req.request.coreset_seed = r.GetU64();
+    req.request.shards = size_t(r.GetU64());
+    req.request.shard_parallelism = size_t(r.GetU64());
   }
   if (r.failed() || !r.AtEnd()) {
     return Status::ParseError("malformed request body");

@@ -39,8 +39,12 @@
 /// algorithm (len-prefixed bytes), k u64, deadline_ms double,
 /// node_budget u64, priority i64, flags u32 (bit0 = emit_csv), csv
 /// (len-prefixed bytes, plain CSV with real newlines — no inline ';'
-/// encoding needed on a binary transport). kStats/kShutdown bodies end
-/// after client_seq.
+/// encoding needed on a binary transport), then the wrapper knobs:
+/// coreset_rate double, coreset_seed u64, shards u64,
+/// shard_parallelism u64. An anonymize body that ends after csv (the
+/// layout before the knobs were carried) is torn, so it decodes to a
+/// typed error rather than a request with default knobs.
+/// kStats/kShutdown bodies end after client_seq.
 ///
 /// **Response body:** verb u32, client_seq u64 (echo; 0 when the
 /// request body was undecodable), job_id u64, code u32 (StatusCode),

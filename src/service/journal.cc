@@ -39,45 +39,6 @@ bool ExtractPayload(const std::string& line, std::string_view* payload) {
   return ChecksumHex(*payload) == checksum;
 }
 
-/// Parses the tail of an `admit` payload (after "admit <id> ") back
-/// into a request. Fields are written in a fixed order with csv= last,
-/// so the CSV may contain anything but newlines.
-bool ParseAdmitFields(std::string_view tail, AnonymizeRequest* request) {
-  const size_t csv_pos = tail.find("csv=");
-  if (csv_pos == std::string_view::npos) return false;
-  request->csv_text = InlineToCsv(std::string(tail.substr(csv_pos + 4)));
-  std::istringstream head{std::string(tail.substr(0, csv_pos))};
-  std::string token;
-  while (head >> token) {
-    const size_t eq = token.find('=');
-    if (eq == std::string::npos || eq == 0) return false;
-    const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
-    long long parsed = 0;
-    if (key == "algo") {
-      request->algorithm = value;
-    } else if (key == "k") {
-      if (!ParseInt(value, &parsed) || parsed < 0) return false;
-      request->k = static_cast<size_t>(parsed);
-    } else if (key == "deadline_ms") {
-      double ms = 0.0;
-      if (!ParseDouble(value, &ms)) return false;
-      request->deadline_ms = ms;
-    } else if (key == "budget") {
-      if (!ParseInt(value, &parsed) || parsed < 0) return false;
-      request->node_budget = static_cast<uint64_t>(parsed);
-    } else if (key == "priority") {
-      if (!ParseInt(value, &parsed)) return false;
-      request->priority = static_cast<int>(parsed);
-    } else if (key == "emit") {
-      request->emit_csv = value != "0";
-    } else {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 JobJournal::JobJournal(std::string path) : path_(std::move(path)) {
@@ -127,21 +88,14 @@ void JobJournal::Append(const std::string& payload) {
 }
 
 std::string JobJournal::AdmitPayload(const Job& job) {
-  std::ostringstream out;
-  out << "admit " << job.id << " algo=" << job.request.algorithm
-      << " k=" << job.request.k
-      << " deadline_ms=" << FormatDouble(job.request.deadline_ms, 3)
-      << " budget=" << job.request.node_budget
-      << " priority=" << job.request.priority
-      << " emit=" << (job.request.emit_csv ? 1 : 0) << " csv=";
   // ValidateAndPrepare has parsed the table by admission time; write it
-  // back out so replay re-validates from first principles.
-  if (job.request.table.has_value()) {
-    out << CsvToInline(TableToCsv(*job.request.table));
-  } else {
-    out << CsvToInline(job.request.csv_text);
-  }
-  return out.str();
+  // back out so replay re-validates from first principles. csv= goes
+  // last and runs to the end of the line, so values may hold spaces.
+  const std::string csv = job.request.table.has_value()
+                              ? TableToCsv(*job.request.table)
+                              : job.request.csv_text;
+  return "admit " + std::to_string(job.id) + " " +
+         FormatRequestFields(job.request) + " csv=" + CsvToInline(csv);
 }
 
 void JobJournal::OnAdmit(const Job& job) { Append(AdmitPayload(job)); }
@@ -208,11 +162,23 @@ StatusOr<JournalReplay> JobJournal::ReplayFile(const std::string& path) {
       if (verb == "admit") {
         ReplayedJob job;
         job.old_id = id;
-        // Fields begin after the second space: "admit <id> <fields...>".
-        const size_t id_space = payload.find(' ', 6);
-        valid = id_space != std::string_view::npos &&
-                ParseAdmitFields(payload.substr(id_space + 1),
-                                 &job.request);
+        // "admit <id> <fields> csv=<inline csv>": the fields are a
+        // request in the line protocol's syntax, and the CSV runs to the
+        // end of the line.
+        const size_t csv_pos = payload.find(" csv=");
+        valid = csv_pos != std::string_view::npos;
+        if (valid) {
+          const size_t fields = payload.find(' ', 6);
+          ServiceError error = ServiceError::kNone;
+          StatusOr<AnonymizeRequest> request = ParseRequestLine(
+              std::string(payload.substr(fields, csv_pos - fields)), &error);
+          valid = request.ok();
+          if (valid) {
+            job.request = *std::move(request);
+            job.request.csv_text =
+                InlineToCsv(std::string(payload.substr(csv_pos + 5)));
+          }
+        }
         if (valid && open.emplace(id, std::move(job)).second) {
           order.push_back(id);
         }

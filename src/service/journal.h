@@ -25,12 +25,17 @@
 ///
 /// Record format — one line per transition:
 ///
-///   <fnv64-hex16> admit <id> algo=<s> k=<n> deadline_ms=<f> budget=<n>
-///                 priority=<n> emit=<0|1> csv=<inline-csv...>
+///   <fnv64-hex16> admit <id> <request fields> csv=<inline-csv...>
 ///   <fnv64-hex16> start <id>
 ///   <fnv64-hex16> ckpt <id> <seq>
 ///   <fnv64-hex16> cancel <id>
 ///   <fnv64-hex16> done <id> <ok|error-name>
+///
+/// The request fields are FormatRequestFields' key=value tokens, which
+/// replay reads back with the line protocol's ParseRequestLine (records
+/// that carry only some of the keys replay with defaults for the rest);
+/// `csv=` comes last and runs to the end of the line, so CSV values may
+/// contain spaces.
 ///
 /// `ckpt` records that snapshot `seq` of the job reached the checkpoint
 /// store durably *before* the record was appended, so replay may trust

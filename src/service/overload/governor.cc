@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "algo/registry.h"
 #include "coreset/sampler.h"
 #include "util/fingerprint.h"
 #include "util/logging.h"
@@ -9,13 +10,6 @@
 namespace kanon {
 
 namespace {
-
-constexpr std::string_view kCoresetPrefix = "coreset_";
-constexpr std::string_view kShardedPrefix = "sharded_";
-
-bool HasPrefix(const std::string& name, std::string_view prefix) {
-  return name.size() > prefix.size() && name.rfind(prefix, 0) == 0;
-}
 
 /// True for registry bases with both a sharded_ and a coreset_ variant
 /// worth degrading to (same objective, cheaper ladder rung).
@@ -35,6 +29,11 @@ std::string DirectBaseFor(const std::string& algorithm) {
     return "mdav";
   }
   return "";
+}
+
+/// The name of `wrapper` around the plain solver `base`.
+std::string Wrapped(AlgorithmWrapper wrapper, const std::string& base) {
+  return AlgorithmName{.wrappers = {wrapper}, .base = base}.ToString();
 }
 
 }  // namespace
@@ -140,13 +139,11 @@ RewriteDecision HealthGovernor::Decide(uint64_t job_id,
   // Composed names (+local_search, +annealing) are explicit quality
   // requests; leave them, the resilient chain, and the already-cheap
   // stages alone.
-  if (algorithm.find('+') != std::string::npos) return decision;
+  const std::optional<AlgorithmName> name = ParseAlgorithmName(algorithm);
+  if (!name.has_value() || !name->suffixes.empty()) return decision;
 
   const double red_rate = RedCoresetRateLocked();
-  if (HasPrefix(algorithm, kCoresetPrefix) ||
-      (HasPrefix(algorithm, kShardedPrefix) &&
-       HasPrefix(algorithm.substr(kShardedPrefix.size()),
-                 kCoresetPrefix))) {
+  if (name->Has(AlgorithmWrapper::kCoreset)) {
     // Already sampling: at red, clamp the rate down to the ladder's
     // current rung (never up — an explicit aggressive rate stands).
     if (decision.level == BrownoutLevel::kRed) {
@@ -161,15 +158,12 @@ RewriteDecision HealthGovernor::Decide(uint64_t job_id,
     }
     return decision;
   }
-  if (HasPrefix(algorithm, kShardedPrefix)) {
+  if (!name->wrappers.empty()) {
     // Sharded already sheds one quality rung; red pushes it to coreset.
-    if (decision.level == BrownoutLevel::kRed) {
-      const std::string inner = algorithm.substr(kShardedPrefix.size());
-      if (LadderBase(inner)) {
-        decision.rewritten = true;
-        decision.effective = std::string(kCoresetPrefix) + inner;
-        decision.coreset_rate = red_rate;
-      }
+    if (decision.level == BrownoutLevel::kRed && LadderBase(name->base)) {
+      decision.rewritten = true;
+      decision.effective = Wrapped(AlgorithmWrapper::kCoreset, name->base);
+      decision.coreset_rate = red_rate;
     }
     return decision;
   }
@@ -177,9 +171,9 @@ RewriteDecision HealthGovernor::Decide(uint64_t job_id,
   if (base.empty()) return decision;
   decision.rewritten = true;
   if (decision.level == BrownoutLevel::kYellow) {
-    decision.effective = std::string(kShardedPrefix) + base;
+    decision.effective = Wrapped(AlgorithmWrapper::kSharded, base);
   } else {
-    decision.effective = std::string(kCoresetPrefix) + base;
+    decision.effective = Wrapped(AlgorithmWrapper::kCoreset, base);
     decision.coreset_rate = red_rate;
   }
   return decision;

@@ -1,10 +1,13 @@
 #include "service/request.h"
 
+#include <charconv>
+#include <sstream>
 #include <utility>
 
 #include "algo/registry.h"
 #include "data/csv_table.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace kanon {
 
@@ -93,6 +96,97 @@ Status MakeServiceStatus(ServiceError error, std::string message) {
   return Status(ServiceErrorCode(error), std::move(message));
 }
 
+namespace {
+
+/// The shortest decimal form that parses back to exactly `value`.
+std::string ExactDouble(double value) {
+  char buf[32];
+  const std::to_chars_result written =
+      std::to_chars(buf, buf + sizeof(buf), value);
+  return std::string(buf, written.ptr);
+}
+
+}  // namespace
+
+StatusOr<AnonymizeRequest> ParseRequestLine(const std::string& tail,
+                                            ServiceError* error) {
+  *error = ServiceError::kNone;
+  AnonymizeRequest request;
+  std::istringstream tokens(tail);
+  std::string token;
+  while (tokens >> token) {
+    const size_t eq = token.find('=');
+    if (eq == std::string::npos || eq == 0) {
+      *error = ServiceError::kMalformedLine;
+      return MakeServiceStatus(*error,
+                               "expected key=value, got '" + token + "'");
+    }
+    const std::string key = token.substr(0, eq);
+    const std::string value = token.substr(eq + 1);
+    uint64_t count = 0;
+    long long priority = 0;
+    bool parsed = true;
+    if (key == "algo") {
+      request.algorithm = value;
+    } else if (key == "k") {
+      parsed = ParseUint(value, &count);
+      request.k = static_cast<size_t>(count);
+    } else if (key == "deadline_ms") {
+      parsed = ParseDouble(value, &request.deadline_ms);
+    } else if (key == "budget") {
+      parsed = ParseUint(value, &request.node_budget);
+    } else if (key == "priority") {
+      parsed = ParseInt(value, &priority);
+      request.priority = static_cast<int>(priority);
+    } else if (key == "coreset_rate") {
+      parsed = ParseDouble(value, &request.coreset_rate);
+    } else if (key == "coreset_seed") {
+      parsed = ParseUint(value, &request.coreset_seed);
+    } else if (key == "shards") {
+      parsed = ParseUint(value, &count);
+      request.shards = static_cast<size_t>(count);
+    } else if (key == "shard_parallelism") {
+      parsed = ParseUint(value, &count);
+      request.shard_parallelism = static_cast<size_t>(count);
+    } else if (key == "emit") {
+      request.emit_csv = value != "0" && value != "false";
+    } else if (key == "wait") {
+      request.wait = value != "0" && value != "false";
+    } else if (key == "csv") {
+      request.csv_text = InlineToCsv(value);
+    } else if (key == "file") {
+      StatusOr<Table> loaded = ReadTableCsv(value);
+      if (!loaded.ok()) {
+        *error = loaded.status().code() == StatusCode::kNotFound
+                     ? ServiceError::kTableNotFound
+                     : ServiceError::kTableParseError;
+        return MakeServiceStatus(*error, loaded.status().message());
+      }
+      request.table.emplace(*std::move(loaded));
+    } else {
+      *error = ServiceError::kMalformedLine;
+      return MakeServiceStatus(*error, "unknown key '" + key + "'");
+    }
+    if (!parsed) {
+      *error = ServiceError::kBadParameter;
+      return MakeServiceStatus(*error, "bad " + key + " '" + value + "'");
+    }
+  }
+  return request;
+}
+
+std::string FormatRequestFields(const AnonymizeRequest& request) {
+  return "algo=" + request.algorithm + " k=" + std::to_string(request.k) +
+         " deadline_ms=" + ExactDouble(request.deadline_ms) +
+         " budget=" + std::to_string(request.node_budget) +
+         " priority=" + std::to_string(request.priority) +
+         " emit=" + (request.emit_csv ? "1" : "0") +
+         " coreset_rate=" + ExactDouble(request.coreset_rate) +
+         " coreset_seed=" + std::to_string(request.coreset_seed) +
+         " shards=" + std::to_string(request.shards) +
+         " shard_parallelism=" + std::to_string(request.shard_parallelism);
+}
+
 std::string InlineToCsv(std::string text) {
   for (char& c : text) {
     if (c == ';') c = '\n';
@@ -127,11 +221,11 @@ Status ValidateAndPrepare(AnonymizeRequest& request, ServiceError* error) {
     request.csv_text.clear();
   }
 
-  StatusOr<std::unique_ptr<Anonymizer>> algo =
-      MakeAnonymizerOr(request.algorithm);
-  if (!algo.ok()) {
+  const StatusOr<AlgorithmName> algorithm =
+      ParseAlgorithmNameOr(request.algorithm);
+  if (!algorithm.ok()) {
     *error = ServiceError::kUnknownAlgorithm;
-    return MakeServiceStatus(*error, algo.status().message());
+    return MakeServiceStatus(*error, algorithm.status().message());
   }
 
   const size_t n = request.table->num_rows();

@@ -117,18 +117,19 @@ struct AnonymizeRequest {
   /// as soon as the job is admitted instead of blocking on the result.
   /// Embedded callers pick blocking vs. not by calling Handle vs Submit.
   bool wait = true;
-  /// Coreset knobs, honored only by `coreset_*` algorithms (and folded
-  /// into the result-cache key for them, so different knobs never share
-  /// an entry). Rate must lie in (0, 1]; 0 means the subsystem default.
+  /// Coreset knobs, applied to every coreset_ level of the algorithm
+  /// (and folded into the result-cache key when it has one, so different
+  /// knobs never share an entry). Rate must lie in (0, 1]; 0 means the
+  /// subsystem default.
   double coreset_rate = 0.0;
   /// Sampler seed; 0 means the subsystem default.
   uint64_t coreset_seed = 0;
-  /// Shard knobs, honored only by `sharded_*` algorithms (and folded
-  /// into the result-cache key for them). `shards` is the target shard
-  /// count (0 = subsystem default; capped at kMaxRequestShards);
-  /// `shard_parallelism` caps concurrent shard solves (0 = the process
-  /// parallelism; capped at kMaxRequestShardParallelism and never above
-  /// the machine cap at run time).
+  /// Shard knobs, applied to every sharded_ level (and keyed the same
+  /// way). `shards` is the target shard count (0 = subsystem default;
+  /// capped at kMaxRequestShards); `shard_parallelism` caps concurrent
+  /// shard solves (0 = the process parallelism; capped at
+  /// kMaxRequestShardParallelism and never above the machine cap at run
+  /// time).
   size_t shards = 0;
   size_t shard_parallelism = 0;
   /// Brownout stamp, set only by the worker pool when the overload
@@ -199,6 +200,18 @@ struct AnonymizeResponse {
 /// 1 <= k <= rows. On failure returns the non-OK status and stores the
 /// taxonomy bucket in *error (which must be non-null).
 Status ValidateAndPrepare(AnonymizeRequest& request, ServiceError* error);
+
+/// The line protocol's request syntax, shared with the job journal.
+/// ParseRequestLine parses the key=value tail of an `anonymize` line
+/// (inline `csv=` rows ';'-separated, `file=` a CSV path).
+StatusOr<AnonymizeRequest> ParseRequestLine(const std::string& tail,
+                                            ServiceError* error);
+
+/// ParseRequestLine's inverse on every wire field but the relation: the
+/// algorithm, k, deadline, budget, priority, emit flag and the four
+/// wrapper knobs as space-separated key=value tokens. Doubles are
+/// written in their shortest exact form, so they parse back unchanged.
+std::string FormatRequestFields(const AnonymizeRequest& request);
 
 /// Inline-CSV transport encoding, shared by the line protocol and the
 /// job journal: ';' stands for the record separator, so values must not

@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "data/csv_table.h"
 #include "fault/fault.h"
 #include "util/build_info.h"
 #include "util/string_util.h"
@@ -168,101 +167,6 @@ ServiceStats AnonymizationService::Stats() const {
 }
 
 void AnonymizationService::Shutdown() { pool_.Join(); }
-
-StatusOr<AnonymizeRequest> ParseRequestLine(const std::string& tail,
-                                            ServiceError* error) {
-  *error = ServiceError::kNone;
-  AnonymizeRequest request;
-  std::istringstream tokens(tail);
-  std::string token;
-  while (tokens >> token) {
-    const size_t eq = token.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      *error = ServiceError::kMalformedLine;
-      return MakeServiceStatus(*error,
-                               "expected key=value, got '" + token + "'");
-    }
-    const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
-    long long parsed = 0;
-    if (key == "algo") {
-      request.algorithm = value;
-    } else if (key == "k") {
-      if (!ParseInt(value, &parsed) || parsed < 0) {
-        *error = ServiceError::kBadParameter;
-        return MakeServiceStatus(*error, "bad k '" + value + "'");
-      }
-      request.k = static_cast<size_t>(parsed);
-    } else if (key == "deadline_ms") {
-      double ms = 0.0;
-      if (!ParseDouble(value, &ms)) {
-        *error = ServiceError::kBadParameter;
-        return MakeServiceStatus(*error,
-                                 "bad deadline_ms '" + value + "'");
-      }
-      request.deadline_ms = ms;
-    } else if (key == "budget") {
-      if (!ParseInt(value, &parsed) || parsed < 0) {
-        *error = ServiceError::kBadParameter;
-        return MakeServiceStatus(*error, "bad budget '" + value + "'");
-      }
-      request.node_budget = static_cast<uint64_t>(parsed);
-    } else if (key == "priority") {
-      if (!ParseInt(value, &parsed)) {
-        *error = ServiceError::kBadParameter;
-        return MakeServiceStatus(*error, "bad priority '" + value + "'");
-      }
-      request.priority = static_cast<int>(parsed);
-    } else if (key == "coreset_rate") {
-      double rate = 0.0;
-      if (!ParseDouble(value, &rate)) {
-        *error = ServiceError::kBadParameter;
-        return MakeServiceStatus(*error,
-                                 "bad coreset_rate '" + value + "'");
-      }
-      request.coreset_rate = rate;
-    } else if (key == "coreset_seed") {
-      if (!ParseInt(value, &parsed) || parsed < 0) {
-        *error = ServiceError::kBadParameter;
-        return MakeServiceStatus(*error,
-                                 "bad coreset_seed '" + value + "'");
-      }
-      request.coreset_seed = static_cast<uint64_t>(parsed);
-    } else if (key == "shards") {
-      if (!ParseInt(value, &parsed) || parsed < 0) {
-        *error = ServiceError::kBadParameter;
-        return MakeServiceStatus(*error, "bad shards '" + value + "'");
-      }
-      request.shards = static_cast<size_t>(parsed);
-    } else if (key == "shard_parallelism") {
-      if (!ParseInt(value, &parsed) || parsed < 0) {
-        *error = ServiceError::kBadParameter;
-        return MakeServiceStatus(
-            *error, "bad shard_parallelism '" + value + "'");
-      }
-      request.shard_parallelism = static_cast<size_t>(parsed);
-    } else if (key == "emit") {
-      request.emit_csv = value != "0" && value != "false";
-    } else if (key == "wait") {
-      request.wait = value != "0" && value != "false";
-    } else if (key == "csv") {
-      request.csv_text = InlineToCsv(value);
-    } else if (key == "file") {
-      StatusOr<Table> loaded = ReadTableCsv(value);
-      if (!loaded.ok()) {
-        *error = loaded.status().code() == StatusCode::kNotFound
-                     ? ServiceError::kTableNotFound
-                     : ServiceError::kTableParseError;
-        return MakeServiceStatus(*error, loaded.status().message());
-      }
-      request.table.emplace(*std::move(loaded));
-    } else {
-      *error = ServiceError::kMalformedLine;
-      return MakeServiceStatus(*error, "unknown key '" + key + "'");
-    }
-  }
-  return request;
-}
 
 std::string HandleLine(AnonymizationService& service,
                        const std::string& line, bool* shutdown) {

@@ -218,14 +218,12 @@ StatusOr<JournalReplayReport> ReplayJournalIntoService(
 size_t ServeLines(AnonymizationService& service, std::istream& in,
                   std::ostream& out);
 
-/// Protocol building blocks, exposed for tests and custom transports.
-/// ParseRequestLine parses the key=value tail of an `anonymize` line
-/// (inline `csv=` rows ';'-separated); HandleLine dispatches one full
-/// protocol line ("anonymize ...", "stats", "shutdown") and returns the
-/// response line (no trailing newline). *shutdown is set when the line
-/// asked the serving loop to stop.
-StatusOr<AnonymizeRequest> ParseRequestLine(const std::string& tail,
-                                            ServiceError* error);
+/// Protocol building block, exposed for tests and custom transports:
+/// dispatches one full protocol line ("anonymize ...", "stats",
+/// "shutdown"; the request syntax is ParseRequestLine's, see
+/// service/request.h) and returns the response line (no trailing
+/// newline). *shutdown is set when the line asked the serving loop to
+/// stop.
 std::string HandleLine(AnonymizationService& service,
                        const std::string& line, bool* shutdown);
 

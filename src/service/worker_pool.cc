@@ -9,8 +9,6 @@
 
 #include "algo/fallback.h"
 #include "algo/registry.h"
-#include "algo/sharded_anonymizer.h"
-#include "coreset/coreset_anonymizer.h"
 #include "data/csv_table.h"
 #include "fault/fault.h"
 #include "service/overload/overload.h"
@@ -24,84 +22,30 @@ namespace kanon {
 
 namespace {
 
-constexpr std::string_view kCoresetPrefix = "coreset_";
-constexpr std::string_view kShardedPrefix = "sharded_";
-
-bool IsCoresetAlgorithm(const std::string& name) {
-  return name.size() > kCoresetPrefix.size() &&
-         name.rfind(kCoresetPrefix, 0) == 0;
-}
-
-bool IsShardedAlgorithm(const std::string& name) {
-  return name.size() > kShardedPrefix.size() &&
-         name.rfind(kShardedPrefix, 0) == 0;
-}
-
-/// The coreset knobs a request resolves to (0-valued knobs fall back to
-/// the subsystem defaults).
-CoresetOptions CoresetOptionsFor(const AnonymizeRequest& request) {
-  CoresetOptions options;
-  if (request.coreset_rate > 0.0) options.sample_rate = request.coreset_rate;
-  if (request.coreset_seed != 0) options.seed = request.coreset_seed;
-  return options;
-}
-
-/// The shard knobs a request resolves to (0-valued knobs fall back to
-/// the subsystem defaults, see algo/shard_plan.h).
-ShardOptions ShardOptionsFor(const AnonymizeRequest& request) {
-  ShardOptions options;
-  options.shards = request.shards;
-  options.shard_parallelism = request.shard_parallelism;
-  return options;
-}
-
-/// Builds a `stage` anonymizer carrying the request's coreset/shard
-/// knobs (the plain registry would use subsystem defaults). Handles
-/// plain, coreset_*, sharded_* and sharded_coreset_* stage names.
-std::unique_ptr<Anonymizer> MakeKnobbedStage(
-    const std::string& stage, const CoresetOptions& coreset,
-    const ShardOptions& shard) {
-  if (IsShardedAlgorithm(stage)) {
-    const std::string inner_name =
-        stage.substr(kShardedPrefix.size());
-    if (inner_name == "resilient" || IsShardedAlgorithm(inner_name)) {
-      return nullptr;
-    }
-    if (MakeKnobbedStage(inner_name, coreset, shard) == nullptr) {
-      return nullptr;
-    }
-    return std::make_unique<ShardedAnonymizer>(
-        [inner_name, coreset, shard] {
-          return MakeKnobbedStage(inner_name, coreset, shard);
-        },
-        shard);
+/// The wrapper knobs a request resolves to (0-valued fields fall back to
+/// the subsystem defaults, see coreset/sampler.h and algo/shard_plan.h).
+AlgorithmKnobs KnobsFor(const AnonymizeRequest& request) {
+  AlgorithmKnobs knobs;
+  if (request.coreset_rate > 0.0) {
+    knobs.coreset.sample_rate = request.coreset_rate;
   }
-  if (IsCoresetAlgorithm(stage)) {
-    auto inner = MakeAnonymizer(stage.substr(kCoresetPrefix.size()));
-    if (inner == nullptr) return nullptr;
-    return std::make_unique<CoresetAnonymizer>(std::move(inner), coreset);
-  }
-  return MakeAnonymizer(stage);
+  if (request.coreset_seed != 0) knobs.coreset.seed = request.coreset_seed;
+  knobs.shard.shards = request.shards;
+  knobs.shard.shard_parallelism = request.shard_parallelism;
+  return knobs;
 }
 
 /// Wraps the requested algorithm in a degradation chain ending in the
 /// unconditionally-feasible suppress_all, so *every* job yields a valid
-/// partition. "resilient" keeps its own (already terminal) chain.
-/// Coreset stages are built through a stage factory carrying the
-/// request's sample-rate/seed knobs (the registry would use defaults).
-FallbackOptions ChainFor(const AnonymizeRequest& request, StageGate* gate) {
-  const std::string& algorithm = request.algorithm;
+/// partition. "resilient" keeps its own (already terminal) chain. Every
+/// stage is built with the request's knobs.
+FallbackOptions ChainFor(const std::string& algorithm,
+                         const AlgorithmKnobs& knobs, StageGate* gate) {
   FallbackOptions options;
   options.gate = gate;
-  if (IsCoresetAlgorithm(algorithm) || IsShardedAlgorithm(algorithm)) {
-    const CoresetOptions coreset = CoresetOptionsFor(request);
-    const ShardOptions shard = ShardOptionsFor(request);
-    options.make_stage =
-        [coreset,
-         shard](const std::string& stage) -> std::unique_ptr<Anonymizer> {
-      return MakeKnobbedStage(stage, coreset, shard);
-    };
-  }
+  options.make_stage = [knobs](const std::string& stage) {
+    return MakeAnonymizer(stage, knobs);
+  };
   if (algorithm == "resilient") return options;
   std::vector<std::string> stages = {algorithm};
   if (algorithm != "greedy_cover" && algorithm != "suppress_all") {
@@ -201,20 +145,17 @@ AnonymizeResponse WorkerPool::Execute(const AnonymizeRequest& request,
   key.table_fp = TableFingerprint(table);
   key.algorithm = request.algorithm;
   key.k = request.k;
-  if (IsShardedAlgorithm(request.algorithm)) {
-    // Shard count/parallelism change the answer (a different cut merges
-    // differently); when the inner is itself a coreset wrapper the
-    // sample knobs change it too, so both fingerprints fold in.
-    uint64_t fp = ShardOptionsFor(request).Fingerprint();
-    if (IsCoresetAlgorithm(
-            request.algorithm.substr(kShardedPrefix.size()))) {
-      fp = FingerprintInt(fp, CoresetOptionsFor(request).Fingerprint());
-    }
-    key.knobs_fp = fp;
-  } else if (IsCoresetAlgorithm(request.algorithm)) {
-    // Sample rate/seed change the answer; a knob-blind key would let a
-    // coreset run with one rate serve a request made with another.
-    key.knobs_fp = CoresetOptionsFor(request).Fingerprint();
+  // A different cut or sample is a different answer, so the key folds
+  // in the option set of every wrapper kind the name contains (a plain
+  // name keys on 0: the knobs cannot change its answer).
+  const AlgorithmName name = ParseAlgorithmName(request.algorithm).value();
+  const AlgorithmKnobs knobs = KnobsFor(request);
+  const bool sharded = name.Has(AlgorithmWrapper::kSharded);
+  if (sharded) key.knobs_fp = knobs.shard.Fingerprint();
+  if (name.Has(AlgorithmWrapper::kCoreset)) {
+    const uint64_t coreset_fp = knobs.coreset.Fingerprint();
+    key.knobs_fp =
+        sharded ? FingerprintInt(key.knobs_fp, coreset_fp) : coreset_fp;
   }
   if (request.brownout_level > 0) {
     // Brownout stamp: a degraded result must never answer a
@@ -250,7 +191,7 @@ AnonymizeResponse WorkerPool::Execute(const AnonymizeRequest& request,
     return response;
   }
 
-  FallbackAnonymizer chain(ChainFor(request, gate));
+  FallbackAnonymizer chain(ChainFor(request.algorithm, knobs, gate));
   AnonymizationResult result = chain.Run(table, request.k, ctx);
   response.cost = result.cost;
   response.stage = result.stage;

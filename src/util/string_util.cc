@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <sstream>
 
@@ -76,6 +77,18 @@ bool ParseInt(std::string_view text, long long* out) {
   char* end = nullptr;
   const long long value = std::strtoll(buf.c_str(), &end, 10);
   if (errno != 0 || end != buf.c_str() + buf.size()) return false;
+  *out = value;
+  return true;
+}
+
+bool ParseUint(std::string_view text, uint64_t* out) {
+  std::string_view digits = Trim(text);
+  if (digits.starts_with('+')) digits.remove_prefix(1);
+  const char* end = digits.data() + digits.size();
+  uint64_t value = 0;
+  const std::from_chars_result parsed =
+      std::from_chars(digits.data(), end, value);
+  if (parsed.ec != std::errc() || parsed.ptr != end) return false;
   *out = value;
   return true;
 }

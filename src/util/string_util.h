@@ -1,6 +1,7 @@
 #ifndef KANON_UTIL_STRING_UTIL_H_
 #define KANON_UTIL_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,6 +36,11 @@ std::string FormatDouble(double value, int digits);
 /// Parses a base-10 signed integer; returns false on any trailing junk,
 /// overflow, or empty input.
 bool ParseInt(std::string_view text, long long* out);
+
+/// Parses a base-10 unsigned 64-bit integer (an optional leading '+',
+/// as ParseInt takes); returns false on a minus sign, trailing junk,
+/// overflow, or empty input.
+bool ParseUint(std::string_view text, uint64_t* out);
 
 /// Parses a double; returns false on trailing junk or empty input.
 bool ParseDouble(std::string_view text, double* out);

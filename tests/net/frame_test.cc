@@ -1,5 +1,6 @@
 #include "net/frame.h"
 
+#include <cstdint>
 #include <string>
 
 #include "gtest/gtest.h"
@@ -23,6 +24,10 @@ NetRequest MakeAnonymizeRequest() {
   request.request.priority = -2;
   request.request.emit_csv = false;
   request.request.csv_text = "age,zip\n30,10001\n30,10001\n";
+  request.request.coreset_rate = 1.0 / 3.0;
+  request.request.coreset_seed = UINT64_MAX - 1;
+  request.request.shards = 5;
+  request.request.shard_parallelism = 2;
   return request;
 }
 
@@ -112,6 +117,10 @@ TEST(NetCodec, AnonymizeRequestRoundTripsEveryField) {
   EXPECT_EQ(decoded->request.priority, -2);
   EXPECT_FALSE(decoded->request.emit_csv);
   EXPECT_EQ(decoded->request.csv_text, request.request.csv_text);
+  EXPECT_EQ(decoded->request.coreset_rate, 1.0 / 3.0);
+  EXPECT_EQ(decoded->request.coreset_seed, UINT64_MAX - 1);
+  EXPECT_EQ(decoded->request.shards, 5u);
+  EXPECT_EQ(decoded->request.shard_parallelism, 2u);
 }
 
 TEST(NetCodec, StatsAndShutdownRequestsRoundTrip) {

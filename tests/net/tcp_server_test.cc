@@ -5,6 +5,7 @@
 #include <string>
 #include <thread>
 
+#include "ckpt/checkpoint.h"
 #include "gtest/gtest.h"
 #include "net/client.h"
 #include "net/frame.h"
@@ -148,6 +149,31 @@ TEST_F(TcpServerTest, HostileBodyInValidEnvelopeKeepsTheConnection) {
   ASSERT_TRUE(typed.ok()) << typed.status();
   EXPECT_EQ(typed->error_name, "bad_frame");
   const StatusOr<NetResponse> ok = client.Call(Anonymize(3));
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  EXPECT_TRUE(ok->ok());
+}
+
+TEST_F(TcpServerTest, AnonymizeBodyWithoutTheKnobsIsABadFrame) {
+  StartServer();
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  // The body layout before the wrapper knobs were carried: it ends
+  // after csv. It must be refused typed, never run with default knobs.
+  CheckpointWriter w;
+  w.PutU32(uint32_t(NetVerb::kAnonymize));
+  w.PutU64(4);
+  w.PutBytes("coreset_mdav");
+  w.PutU64(2);
+  w.PutDouble(0.0);
+  w.PutU64(0);
+  w.PutU64(0);
+  w.PutU32(1);
+  w.PutBytes("a,b\n1,2\n1,2\n");
+  ASSERT_TRUE(client.SendRaw(EncodeFrame(w.bytes())).ok());
+  const StatusOr<NetResponse> typed = client.Receive();
+  ASSERT_TRUE(typed.ok()) << typed.status();
+  EXPECT_EQ(typed->error_name, "bad_frame");
+  const StatusOr<NetResponse> ok = client.Call(Anonymize(5));
   ASSERT_TRUE(ok.ok()) << ok.status();
   EXPECT_TRUE(ok->ok());
 }

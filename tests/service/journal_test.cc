@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -206,6 +207,74 @@ TEST(JournalTest, AdmitPayloadPrefersTheParsedTable) {
   // with ';' so the record stays one line.
   EXPECT_NE(payload.find("csv=q;3;3"), std::string::npos) << payload;
   EXPECT_EQ(payload.find('\n'), std::string::npos);
+}
+
+TEST(JournalTest, AdmitReplayKeepsEveryRequestField) {
+  const std::string path = TempJournalPath("every_field");
+  ::unlink(path.c_str());
+  Job job;
+  job.id = 9;
+  AnonymizeRequest& request = job.request;
+  request.algorithm = "coreset_sharded_mdav";
+  request.k = 4;
+  request.deadline_ms = 0.1 + 0.2;  // no short decimal form
+  request.node_budget = (uint64_t{1} << 63) + 5;
+  request.priority = -3;
+  request.emit_csv = false;
+  request.coreset_rate = 1.0 / 3.0;
+  request.coreset_seed = UINT64_MAX - 1;
+  request.shards = 5;
+  request.shard_parallelism = 2;
+  request.csv_text = "a,b\n1 x,2\n1 x,2\n";  // values with spaces
+  {
+    JobJournal journal(path);
+    journal.OnAdmit(job);
+  }
+  const StatusOr<JournalReplay> replay = JobJournal::ReplayFile(path);
+  ASSERT_TRUE(replay.ok()) << replay.status();
+  ASSERT_EQ(replay->torn_records, 0u);
+  ASSERT_EQ(replay->pending.size(), 1u);
+  const AnonymizeRequest& got = replay->pending[0].request;
+  EXPECT_EQ(got.algorithm, request.algorithm);
+  EXPECT_EQ(got.k, request.k);
+  EXPECT_EQ(got.deadline_ms, request.deadline_ms);
+  EXPECT_EQ(got.node_budget, request.node_budget);
+  EXPECT_EQ(got.priority, request.priority);
+  EXPECT_EQ(got.emit_csv, request.emit_csv);
+  EXPECT_EQ(got.coreset_rate, request.coreset_rate);
+  EXPECT_EQ(got.coreset_seed, request.coreset_seed);
+  EXPECT_EQ(got.shards, request.shards);
+  EXPECT_EQ(got.shard_parallelism, request.shard_parallelism);
+  EXPECT_EQ(got.csv_text, "a,b\n1 x,2\n1 x,2");
+  ::unlink(path.c_str());
+}
+
+TEST(JournalTest, OlderAdmitRecordWithoutKnobKeysStillReplays) {
+  // An admit record as journals written before the knob keys existed
+  // carry it (checksum included); the missing keys take their defaults.
+  const std::string path = TempJournalPath("older_admit");
+  WriteAll(path,
+           "5ea5154cc4e9dcf2 admit 4 algo=coreset_mdav k=2 "
+           "deadline_ms=250.500 budget=1000 priority=-1 emit=0 "
+           "csv=a,b;1 x,2;1 x,2\n");
+  const StatusOr<JournalReplay> replay = JobJournal::ReplayFile(path);
+  ASSERT_TRUE(replay.ok()) << replay.status();
+  ASSERT_EQ(replay->torn_records, 0u);
+  ASSERT_EQ(replay->pending.size(), 1u);
+  EXPECT_EQ(replay->pending[0].old_id, 4u);
+  const AnonymizeRequest& got = replay->pending[0].request;
+  EXPECT_EQ(got.algorithm, "coreset_mdav");
+  EXPECT_EQ(got.k, 2u);
+  EXPECT_EQ(got.deadline_ms, 250.5);
+  EXPECT_EQ(got.node_budget, 1000u);
+  EXPECT_EQ(got.priority, -1);
+  EXPECT_FALSE(got.emit_csv);
+  EXPECT_EQ(got.coreset_rate, 0.0);
+  EXPECT_EQ(got.coreset_seed, 0u);
+  EXPECT_EQ(got.shards, 0u);
+  EXPECT_EQ(got.shard_parallelism, 0u);
+  EXPECT_EQ(got.csv_text, "a,b\n1 x,2\n1 x,2");
+  ::unlink(path.c_str());
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include "core/anonymity.h"
 #include "data/csv_table.h"
+#include "data/generators/uniform.h"
 #include "gtest/gtest.h"
 #include "util/random.h"
 #include "util/string_util.h"
@@ -309,6 +310,47 @@ TEST(ServerTest, JournalReplayResubmitsPendingAndMarksInterrupted) {
       << report->lines[1];
 
   EXPECT_EQ(service.Stats().counters[Counter::kJournalReplays], 2u);
+  ::unlink(path.c_str());
+}
+
+TEST(ServerTest, JournalReplayedCoresetJobAnswersTheLiveCost) {
+  Rng rng(1);
+  AnonymizeRequest request;
+  request.algorithm = "coreset_mdav";
+  request.k = 3;
+  request.coreset_rate = 0.1;
+  request.coreset_seed = 7;
+  request.csv_text = TableToCsv(UniformTable(
+      {.num_rows = 200, .num_columns = 4, .alphabet = 5}, &rng));
+  AnonymizationService live({.workers = 1});
+  const AnonymizeResponse live_answer = live.Handle(request);
+  ASSERT_TRUE(live_answer.ok()) << live_answer.status;
+  // The knobs matter on this instance: default knobs answer differently.
+  AnonymizeRequest defaults = request;
+  defaults.coreset_rate = 0.0;
+  defaults.coreset_seed = 0;
+  ASSERT_NE(live.Handle(defaults).cost, live_answer.cost);
+
+  const std::string path = ::testing::TempDir() + "kanon_server_knobs_" +
+                           std::to_string(::getpid()) + ".journal";
+  ::unlink(path.c_str());
+  {
+    JobJournal journal(path);
+    Job job;
+    job.id = 1;
+    job.request = request;
+    journal.OnAdmit(job);
+  }
+  AnonymizationService service({.workers = 1});
+  const StatusOr<JournalReplayReport> report =
+      ReplayJournalIntoService(path, service);
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_EQ(report->lines.size(), 1u);
+  EXPECT_TRUE(StartsWith(report->lines[0], "ok verb=replay old_id=1"))
+      << report->lines[0];
+  EXPECT_EQ(Field(report->lines[0], "cost"),
+            std::to_string(live_answer.cost))
+      << report->lines[0];
   ::unlink(path.c_str());
 }
 

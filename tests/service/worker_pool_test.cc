@@ -140,6 +140,39 @@ TEST(WorkerPoolTest, CoresetKnobsKeyTheCacheSeparately) {
   EXPECT_EQ(cache.stats().misses, 2u);
 }
 
+TEST(WorkerPoolTest, NestedWrapperRunsWithAndKeysOnItsShardKnobs) {
+  JobQueue queue(8);
+  ResultCache cache(8);
+  WorkerPool pool(&queue, &cache, {.workers = 1});
+
+  Rng rng(1);
+  const Table table = UniformTable(
+      {.num_rows = 600, .num_columns = 5, .alphabet = 5}, &rng);
+  const auto submit = [&](size_t shards) {
+    AnonymizeRequest request = RequestFor(table, 3, "coreset_sharded_mdav");
+    request.coreset_rate = 0.5;
+    request.shards = shards;
+    ServiceError error = ServiceError::kNone;
+    return queue.Submit(std::move(request), &error)->result.get();
+  };
+
+  // The 300-row sample could feed the default 8 shards; the request
+  // asks for 2, and the sharded level inside the coreset one plans 2.
+  const AnonymizeResponse two = submit(2);
+  ASSERT_TRUE(two.ok()) << two.status;
+  EXPECT_FALSE(two.cache_hit);
+  EXPECT_EQ(queue.metrics().Get(Counter::kShardsPlanned), 2u);
+
+  // A different shard count is a different computation: it must miss.
+  const AnonymizeResponse four = submit(4);
+  ASSERT_TRUE(four.ok()) << four.status;
+  EXPECT_FALSE(four.cache_hit);
+  EXPECT_EQ(queue.metrics().Get(Counter::kShardsPlanned), 6u);
+
+  // Identical knobs: served from the cache.
+  EXPECT_TRUE(submit(4).cache_hit);
+}
+
 TEST(WorkerPoolTest, DeadlineArtifactsAreNotCachedStructuralOnesAre) {
   JobQueue queue(8);
   ResultCache cache(8);

@@ -78,6 +78,18 @@ TEST(ParseIntTest, Invalid) {
   EXPECT_FALSE(ParseInt("999999999999999999999999", &v));  // overflow
 }
 
+TEST(ParseUintTest, CoversTheFullUnsignedRange) {
+  uint64_t v = 0;
+  EXPECT_TRUE(ParseUint("18446744073709551615", &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  EXPECT_TRUE(ParseUint(" +7 ", &v));
+  EXPECT_EQ(v, 7u);
+  EXPECT_FALSE(ParseUint("18446744073709551616", &v));  // overflow
+  EXPECT_FALSE(ParseUint("-1", &v));
+  EXPECT_FALSE(ParseUint("", &v));
+  EXPECT_FALSE(ParseUint("3x", &v));
+}
+
 TEST(ParseDoubleTest, Valid) {
   double v = 0;
   EXPECT_TRUE(ParseDouble("2.5", &v));
