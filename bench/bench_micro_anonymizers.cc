@@ -3,8 +3,10 @@
 // suppression) show up in a single number.
 
 #include <algorithm>
+#include <vector>
 
 #include "algo/ball_cover.h"
+#include "algo/branch_bound.h"
 #include "algo/cluster_greedy.h"
 #include "algo/exact_dp.h"
 #include "algo/greedy_cover.h"
@@ -12,7 +14,9 @@
 #include "benchmark/benchmark.h"
 #include "data/generators/census.h"
 #include "data/generators/clustered.h"
+#include "data/generators/uniform.h"
 #include "util/random.h"
+#include "util/run_context.h"
 
 namespace kanon {
 namespace {
@@ -80,6 +84,28 @@ void BM_ClusterGreedy(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ClusterGreedy)->Arg(32)->Arg(128);
+
+// The resilient chain's anytime stage on the service's request shape:
+// kanon_load's 256-table pool (24x3, alphabet 4, same generator and
+// seed), k=3, each table one Run on a fresh context with the 2000-node
+// budget kanon_load sends. One iteration solves the whole pool.
+void BM_BranchBoundPool(benchmark::State& state) {
+  Rng rng(42, /*stream=*/0x6c6f6164ull);  // "load"
+  std::vector<Table> pool;
+  for (int i = 0; i < 256; ++i) {
+    pool.push_back(UniformTable(
+        {.num_rows = 24, .num_columns = 3, .alphabet = 4}, &rng));
+  }
+  for (auto _ : state) {
+    for (const Table& t : pool) {
+      RunContext ctx;
+      ctx.set_node_budget(2000);
+      BranchBoundAnonymizer algo;
+      benchmark::DoNotOptimize(algo.Run(t, 3, &ctx).cost);
+    }
+  }
+}
+BENCHMARK(BM_BranchBoundPool)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace kanon

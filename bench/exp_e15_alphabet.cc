@@ -44,10 +44,14 @@ int Main(int argc, char** argv) {
           std::to_string(trials) + " seeds per point");
 
   bench::ReportTable table({"|Σ|", "mean OPT", "OPT / cells", "B&B nodes",
-                            "DP time (ms)", "greedy ratio"});
+                            "B&B time (ms)", "DP time (ms)",
+                            "greedy ratio"});
   const double cells = static_cast<double>(n) * m;
+  // The binary row, quoted by the observation below.
+  double binary_nodes = 0.0;
+  double binary_ms = 0.0;
   for (const uint32_t alphabet : {2u, 3u, 4u, 8u, 16u}) {
-    Accumulator opts, nodes, dp_times, ratios;
+    Accumulator opts, nodes, bb_times, dp_times, ratios;
     for (uint32_t seed = 1; seed <= trials; ++seed) {
       Rng rng(seed * 71 + alphabet);
       const Table t = UniformTable(
@@ -63,6 +67,7 @@ int Main(int argc, char** argv) {
       long long node_count = 0;
       ParseInt(bb_result.notes.substr(pos + 6), &node_count);
       nodes.Add(static_cast<double>(node_count));
+      bb_times.Add(bb_result.seconds * 1e3);
       BallCoverAnonymizer ball;
       if (dp_result.cost > 0) {
         ratios.Add(static_cast<double>(ball.Run(t, k).cost) /
@@ -73,9 +78,14 @@ int Main(int argc, char** argv) {
                   bench::ReportTable::Num(opts.mean(), 1),
                   bench::ReportTable::Num(opts.mean() / cells, 3),
                   bench::ReportTable::Num(nodes.mean(), 0),
+                  bench::ReportTable::Num(bb_times.mean(), 1),
                   bench::ReportTable::Num(dp_times.mean(), 1),
                   ratios.count() ? bench::ReportTable::Num(ratios.mean())
                                  : "-"});
+    if (alphabet == 2) {
+      binary_nodes = nodes.mean();
+      binary_ms = bb_times.mean();
+    }
   }
   table.Print();
 
@@ -83,7 +93,9 @@ int Main(int argc, char** argv) {
             << "as |Σ| grows, while exact-DP time is flat — the DP's "
             << "work is alphabet-independent. Crucially, exact search "
             << "does NOT collapse to easy at |Σ| = 2: binary instances "
-            << "still cost ~10^4 B&B nodes at n = 14, consistent with "
+            << "still cost " << bench::ReportTable::Num(binary_nodes, 0)
+            << " B&B nodes (" << bench::ReportTable::Num(binary_ms, 1)
+            << " ms) at n = " << n << ", consistent with "
             << "follow-up work proving hardness even for binary "
             << "alphabets rather than the tractability §5 hoped for)\n";
   bench::PrintVerdict(true, "empirical difficulty profile recorded");

@@ -155,63 +155,87 @@ run_ckpt_drill() {
   rm -rf "${dir}"
 }
 
-# Distance A/B gate: HEAD's tiled n=2048 distance build against the
-# parent commit's, both built and timed on this host (a baseline file
-# recorded on another machine measures the machine, not the change).
-# Builds bench_micro_distance at HEAD~1 in a detached worktree with the
-# same configuration, runs the two binaries alternately for
-# DISTANCE_AB_PAIRS pairs (alternating which goes first), and fails when
-# HEAD's median exceeds 1.25x the parent's. $1 = HEAD's binary.
-DISTANCE_AB_PAIRS=7
-run_distance_ab() {
-  local tree
+# A/B perf gates: each gated micro benchmark at HEAD against the parent
+# commit, both built and timed on this host (a baseline file recorded on
+# another machine measures the machine, not the change). Exports HEAD~1
+# into a temporary tree and builds its gated targets there once, with the
+# same configuration. Then, per gate, runs the parent's binary and
+# HEAD's (from build/) alternately for AB_PAIRS pairs, alternating
+# which goes first, and fails when HEAD's median exceeds 1.25x the
+# parent's. A benchmark HEAD~1 lacks (new in HEAD) is reported, and only
+# its gate is skipped.
+AB_PAIRS=7
+AB_GATES=(
+  "bench_micro_distance BM_DistanceMatrixBuildTiled/2048"
+  "bench_micro_anonymizers BM_BranchBoundPool"
+)
+run_ab() {
+  local tree gate target bench
   tree="$(mktemp -d)"
-  git worktree add --detach "${tree}" HEAD~1 >/dev/null 2>&1 \
-    || { echo "distance A/B FAIL: cannot check out HEAD~1" >&2; exit 1; }
+  git archive HEAD~1 | tar -x -C "${tree}" \
+    || { echo "A/B FAIL: cannot export HEAD~1" >&2; exit 1; }
   cmake -B "${tree}/build" -S "${tree}" >/dev/null
-  cmake --build "${tree}/build" -j"${JOBS}" --target bench_micro_distance \
-    >/dev/null
-  local i side bin order
-  for i in $(seq 1 "${DISTANCE_AB_PAIRS}"); do
-    order="head parent"
-    (( i % 2 )) || order="parent head"
-    for side in ${order}; do
-      bin="$1"
-      [ "${side}" = parent ] && bin="${tree}/build/bench/bench_micro_distance"
-      "${bin}" --benchmark_filter='DistanceMatrixBuildTiled/2048$' \
-        --benchmark_out="${tree}/${side}_${i}.json" \
-        --benchmark_out_format=json >/dev/null
-    done
+  for gate in "${AB_GATES[@]}"; do
+    read -r target bench <<<"${gate}"
+    cmake --build "${tree}/build" -j"${JOBS}" --target "${target}" \
+      >/dev/null 2>&1 || true
   done
-  local verdict=0
-  AB_DIR="${tree}" AB_NPROC="$(nproc)" \
-    AB_CPU="$(grep -m1 'model name' /proc/cpuinfo | cut -d: -f2- | xargs)" \
-    AB_BUILD="$(./build/examples/kanond --version | grep -o 'build=[^ ]*')" \
-    python3 - <<'PY' || verdict=1
+  local verdict=0 i side bin order
+  for gate in "${AB_GATES[@]}"; do
+    read -r target bench <<<"${gate}"
+    if ! "${tree}/build/bench/${target}" --benchmark_list_tests \
+        --benchmark_filter="^${bench}\$" 2>/dev/null \
+        | grep -x "${bench}" >/dev/null
+    then
+      echo "A/B ${bench}: HEAD~1 has no such benchmark; gate skipped"
+      continue
+    fi
+    for i in $(seq 1 "${AB_PAIRS}"); do
+      order="head parent"
+      (( i % 2 )) || order="parent head"
+      for side in ${order}; do
+        bin="./build/bench/${target}"
+        [ "${side}" = parent ] && bin="${tree}/build/bench/${target}"
+        "${bin}" --benchmark_filter="^${bench}\$" \
+          --benchmark_out="${tree}/${target}_${side}_${i}.json" \
+          --benchmark_out_format=json >/dev/null
+      done
+    done
+    AB_DIR="${tree}" AB_TARGET="${target}" AB_BENCH="${bench}" \
+      AB_NPROC="$(nproc)" \
+      AB_CPU="$(grep -m1 'model name' /proc/cpuinfo | cut -d: -f2- | xargs)" \
+      AB_BUILD="$(./build/examples/kanond --version | grep -o 'build=[^ ]*')" \
+      python3 - <<'PY' || verdict=1
 import glob
 import json
 import os
 import statistics
 
-def median_ms(side):
-    times = []
-    for path in glob.glob(os.path.join(os.environ["AB_DIR"], side + "_*.json")):
-        with open(path) as f:
-            times += [b["real_time"] for b in json.load(f)["benchmarks"]
-                      if b["name"] == "BM_DistanceMatrixBuildTiled/2048"]
-    return statistics.median(times), len(times)
+bench = os.environ["AB_BENCH"]
 
-head, pairs = median_ms("head")
-parent, _ = median_ms("parent")
-print(f"n=2048 tiled, median of {pairs} alternating pairs: parent "
-      f"{parent:.1f} ms, HEAD {head:.1f} ms ({head / parent:.2f}x) "
+def median(side):
+    times, unit = [], ""
+    pattern = os.environ["AB_TARGET"] + "_" + side + "_*.json"
+    for path in glob.glob(os.path.join(os.environ["AB_DIR"], pattern)):
+        with open(path) as f:
+            for b in json.load(f)["benchmarks"]:
+                if b["name"] == bench:
+                    times.append(b["real_time"])
+                    unit = b["time_unit"]
+    return statistics.median(times), len(times), unit
+
+head, pairs, unit = median("head")
+parent, _, _ = median("parent")
+print(f"A/B {bench}, median of {pairs} alternating pairs: parent "
+      f"{parent:.1f} {unit}, HEAD {head:.1f} {unit} ({head / parent:.2f}x) "
       f"[nproc={os.environ['AB_NPROC']} cpu={os.environ['AB_CPU']} "
       f"{os.environ['AB_BUILD']}]")
 assert head <= 1.25 * parent, (
-    f"tiled distance build regressed: HEAD {head:.1f} ms vs parent "
-    f"{parent:.1f} ms (>1.25x)")
+    f"{bench} regressed: HEAD {head:.1f} {unit} vs parent "
+    f"{parent:.1f} {unit} (>1.25x)")
 PY
-  git worktree remove --force "${tree}"
+  done
+  rm -rf "${tree}"
   [ "${verdict}" = 0 ] || exit 1
 }
 
@@ -404,12 +428,11 @@ assert run["goodput_rps"] >= baseline["goodput_rps"] / 4, (
     f"baseline {baseline['goodput_rps']:.1f} (>4x)")
 EOF
 
-echo "=== perf gate: tiled distance build vs scalar seed and vs HEAD~1 ==="
+echo "=== perf gate: tiled distance build vs scalar seed ==="
 # The columnar data plane's headline win: the tiled parallel matrix
 # fill must beat the seed's serial row-major double loop at n = 2048 in
-# the same run, and must not regress against the parent commit (A/B on
-# this host, see run_distance_ab). The raw google-benchmark numbers of
-# the same-run check land in BENCH_distance.json.
+# the same run. The raw google-benchmark numbers land in
+# BENCH_distance.json.
 ./build/bench/bench_micro_distance \
   --benchmark_filter='DistanceMatrixBuild' \
   --benchmark_out=BENCH_distance.json --benchmark_out_format=json \
@@ -426,7 +449,12 @@ print(f"n=2048: scalar seed {scalar:.1f} ms, tiled {tiled:.1f} ms "
       f"({scalar / tiled:.2f}x)")
 assert tiled < scalar, "tiled distance build no faster than scalar seed"
 EOF
-run_distance_ab ./build/bench/bench_micro_distance
+
+echo "=== A/B gates vs HEAD~1: tiled distance build, branch & bound pool ==="
+# Neither may regress against the parent commit on this host (see
+# run_ab): the n = 2048 tiled fill, and branch_bound on kanon_load's
+# 256-table pool at the 2000-node budget.
+run_ab
 
 echo "=== terminal-path guard: the suppress_all answer grows linearly ==="
 # The path a request falls back to once its retry budget is spent

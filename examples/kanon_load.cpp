@@ -29,11 +29,13 @@
 //
 // The request pool cycles through more table variants than the result
 // cache holds, so the measured path is the real queue -> worker ->
-// solver pipeline, not a cache echo.
+// solver pipeline, not a cache echo. Every request names the algorithm
+// --algo (default resilient); a cheap one such as mdav measures the
+// front end's ceiling rather than the solver.
 //
 // Usage:
 //   ./kanon_load [--connections=N] [--requests=N] [--rows=N] [--k=N]
-//                [--node-budget=N] [--target-rps=R[,R2,...]]
+//                [--algo=NAME] [--node-budget=N] [--target-rps=R[,R2,...]]
 //                [--deadline-ms=F] [--overload-target-ms=F]
 //                [--retry-budget-ratio=F] [--brownout=off|auto]
 //                [--host=H] [--port=P] [--out=FILE] [--version]
@@ -54,6 +56,7 @@
 #include <thread>
 #include <vector>
 
+#include "algo/registry.h"
 #include "data/csv_table.h"
 #include "data/generators/uniform.h"
 #include "net/client.h"
@@ -113,6 +116,7 @@ struct WorkloadConfig {
   std::string host;
   uint16_t port = 0;
   const std::vector<std::string>* pool = nullptr;
+  std::string algorithm;
   long long connections = 0;
   long long requests = 0;
   size_t k = 0;
@@ -146,7 +150,7 @@ NetRequest BuildRequest(const WorkloadConfig& config, uint64_t seq,
   NetRequest request;
   request.verb = NetVerb::kAnonymize;
   request.client_seq = seq;
-  request.request.algorithm = "resilient";
+  request.request.algorithm = config.algorithm;
   request.request.k = config.k;
   request.request.node_budget = config.node_budget;
   request.request.deadline_ms = config.deadline_ms;
@@ -371,6 +375,12 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
+  const std::string algorithm = cl.GetString("algo", "resilient");
+  if (const StatusOr<AlgorithmName> parsed = ParseAlgorithmNameOr(algorithm);
+      !parsed.ok()) {
+    std::cerr << "error: " << parsed.status().message() << "\n";
+    return 1;
+  }
   const std::string host = cl.GetString("host", "127.0.0.1");
   const std::string out_path = cl.GetString("out", "BENCH_service.json");
   // Millisecond flags become steady-clock durations; the cap keeps that
@@ -465,6 +475,7 @@ int main(int argc, char** argv) {
   config.host = host;
   config.port = port;
   config.pool = &pool;
+  config.algorithm = algorithm;
   config.connections = *connections;
   config.requests = *requests;
   config.k = static_cast<size_t>(*k_flag);
@@ -496,6 +507,7 @@ int main(int argc, char** argv) {
   json << "{\n"
        << "  \"build\": \"" << BuildInfoString() << "\",\n"
        << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n"
+       << "  \"algorithm\": \"" << algorithm << "\",\n"
        << "  \"connections\": " << *connections << ",\n"
        << "  \"mode\": \""
        << (target_rps.empty() ? "closed_loop" : "open_loop") << "\",\n"

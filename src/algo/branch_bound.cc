@@ -4,6 +4,8 @@
 #include <optional>
 #include <sstream>
 
+#include "algo/cluster_greedy.h"
+#include "algo/local_search.h"
 #include "ckpt/checkpoint.h"
 #include "core/bounds.h"
 #include "core/cost.h"
@@ -33,10 +35,15 @@ class Search {
     }
   }
 
-  /// Runs the search starting from an incumbent partition/cost.
+  /// Runs the search starting from an incumbent partition/cost. Until
+  /// the first replacement a partition that only ties the incumbent
+  /// also replaces it (the bound starts one above its cost), so a
+  /// search that finishes returns the first optimum in DFS order,
+  /// whatever incumbent it started from.
   void Run(Partition incumbent, size_t incumbent_cost) {
     best_partition_ = std::move(incumbent);
     best_cost_ = incumbent_cost;
+    bound_ = incumbent_cost + 1;
     current_.groups.clear();
     Assign(0);
   }
@@ -47,7 +54,10 @@ class Search {
   bool truncated() const { return truncated_; }
 
  private:
+  /// Charges one search node: an Assign call or an evaluated group.
+  /// True when the search must stop.
   bool NodeBudgetExceeded() {
+    ++nodes_;
     if (max_nodes_ != 0 && nodes_ >= max_nodes_) {
       truncated_ = true;
       return true;
@@ -65,12 +75,10 @@ class Search {
         return true;
       }
       if (ctx_->CheckpointDue()) {
-        // The incumbent is the whole resumable state: restarting the
-        // DFS from the root with this incumbent prunes (>=) everything
-        // the original run pruned plus everything it already improved
-        // past, and incumbent updates are strict improvements visited
-        // in the same deterministic order — so a resumed run lands on
-        // the bit-identical final partition.
+        // The incumbent is the whole resumable state: a search that
+        // finishes returns the first optimum in DFS order whatever its
+        // incumbent (see Run), so restarting the DFS from the root with
+        // this one lands on the bit-identical final partition.
         CheckpointWriter w;
         w.PutU64(best_cost_);
         w.PutU64(nodes_);
@@ -84,15 +92,15 @@ class Search {
   /// Outer recursion: all rows < `from_hint` are known-assigned.
   void Assign(RowId from_hint) {
     if (truncated_) return;
-    ++nodes_;
     if (NodeBudgetExceeded()) return;
     // Find the anchor: lowest unassigned row.
     RowId anchor = from_hint;
     const RowId n = table_.num_rows();
     while (anchor < n && assigned_[anchor]) ++anchor;
     if (anchor == n) {
-      if (current_cost_ < best_cost_) {
+      if (current_cost_ < bound_) {
         best_cost_ = current_cost_;
+        bound_ = current_cost_;
         best_partition_ = current_;
       }
       return;
@@ -124,13 +132,14 @@ class Search {
 
   /// Commits `group`, recurses, rolls back.
   void TryGroup(const Group& group, RowId anchor) {
+    if (NodeBudgetExceeded()) return;
     const size_t group_cost = AnonCost(table_, group);
     size_t group_lb = 0;
     for (const RowId r : group) group_lb += row_lb_[r];
     // Prune: committed cost + this group + LB of what remains.
     const size_t projected =
         current_cost_ + group_cost + (remaining_lb_ - group_lb);
-    if (projected >= best_cost_) return;
+    if (projected >= bound_) return;
 
     for (const RowId r : group) assigned_[r] = true;
     current_cost_ += group_cost;
@@ -159,19 +168,12 @@ class Search {
 
   Partition best_partition_;
   size_t best_cost_ = 0;
+  /// Prune threshold: best_cost_ + 1 until the first replacement, then
+  /// best_cost_.
+  size_t bound_ = 0;
   size_t nodes_ = 0;
   bool truncated_ = false;
 };
-
-/// Quick incumbent: consecutive chunks of size k (remainder folded into
-/// the final chunk).
-Partition ChunkPartition(RowId n, size_t k) {
-  Partition p;
-  Group all(n);
-  for (RowId r = 0; r < n; ++r) all[r] = r;
-  p.groups.push_back(std::move(all));
-  return SplitLargeGroups(p, k);
-}
 
 }  // namespace
 
@@ -202,15 +204,20 @@ AnonymizationResult BranchBoundAnonymizer::Run(const Table& table,
                          "declined: " + oracle.status().message());
   }
   Search search(table, **oracle, k, options_.max_nodes, ctx);
-  // The chunk partition seeds a finite incumbent; the search only
-  // replaces it on strict improvement, so its cost is an upper bound
-  // throughout and pruning with >= is safe.
-  Partition incumbent = ChunkPartition(n, k);
+  // Seed: the cluster_greedy+local_search answer. cluster_greedy runs
+  // on this context, so it reuses the oracle above; the local search
+  // gets no context, so the seed charges no node and writes no
+  // checkpoint. The search never replaces the incumbent with anything
+  // costlier, so even a stop at the first node is no worse than the
+  // heuristic.
+  Partition incumbent =
+      ClusterGreedyAnonymizer().Run(table, k, ctx).partition;
+  ImprovePartition(table, k, LocalSearchOptions{}, &incumbent);
   size_t incumbent_cost = PartitionCost(table, incumbent);
   bool resumed = false;
   if (const std::optional<std::string> state =
           ctx->resume_payload("branch_bound")) {
-    // A checkpointed incumbent replaces the chunk seed. It is hostile
+    // A checkpointed incumbent replaces the seed. It is hostile
     // input (it crossed a crash): every claim is re-verified and a bad
     // snapshot falls back to the cold seed.
     CheckpointReader r(*state);

@@ -15,6 +15,18 @@
 /// where the per-row term is the k-NN lower bound of core/bounds.h
 /// evaluated on the full table (a superset of candidates, hence valid).
 ///
+/// Seed: the incumbent starts as the cluster_greedy+local_search answer,
+/// so the search never returns anything costlier.
+/// Ties: until the search first replaces the seed, a complete partition
+/// that only ties it also replaces it. A search that finishes therefore
+/// returns the first optimum in DFS order, whatever the seed.
+///
+/// Nodes: every `Assign` step and every evaluated candidate group is one
+/// node, charged to the RunContext and counted in `notes` (`nodes=`).
+/// A node budget (max_nodes, or the context's) thus bounds the search's
+/// work; when it runs out the incumbent is returned, never worse than
+/// the seed.
+///
 /// Complements exact_dp: no 2^n memory, so it reaches slightly larger n
 /// when the instance has pruning-friendly structure (e.g. planted
 /// clusters), and it cross-checks the DP in tests.
@@ -25,9 +37,11 @@ namespace kanon {
 struct BranchBoundOptions {
   /// Hard instance-size cap.
   size_t max_rows = 28;
-  /// Optional cap on explored search nodes; 0 = unlimited. When the cap
-  /// is hit the incumbent (a valid anonymization, possibly suboptimal)
-  /// is returned and `notes` records the truncation.
+  /// Optional cap on search nodes; 0 = unlimited. A node is one
+  /// assignment step or one evaluated candidate group. When the cap is
+  /// hit the incumbent is returned: a valid anonymization no costlier
+  /// than the cluster_greedy+local_search seed, possibly suboptimal.
+  /// `notes` records the truncation.
   size_t max_nodes = 0;
 };
 
