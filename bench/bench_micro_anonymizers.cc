@@ -10,6 +10,7 @@
 #include "algo/cluster_greedy.h"
 #include "algo/exact_dp.h"
 #include "algo/greedy_cover.h"
+#include "algo/mdav.h"
 #include "algo/mondrian.h"
 #include "benchmark/benchmark.h"
 #include "data/generators/census.h"
@@ -106,6 +107,20 @@ void BM_BranchBoundPool(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BranchBoundPool)->Unit(benchmark::kMillisecond);
+
+// mdav on serve_bench's mdav_large request shape: one seeded 2048-row
+// census table (8 columns), k=5, one Run per iteration on a fresh
+// context, so the dense distance oracle's build is timed with the scans.
+void BM_MdavCensus(benchmark::State& state) {
+  Rng rng(2048);
+  const Table t = CensusTable({.num_rows = 2048}, &rng);
+  for (auto _ : state) {
+    RunContext ctx;
+    MdavAnonymizer algo;
+    benchmark::DoNotOptimize(algo.Run(t, 5, &ctx).cost);
+  }
+}
+BENCHMARK(BM_MdavCensus)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace kanon

@@ -1,8 +1,8 @@
 #include "algo/mdav.h"
 
 #include <algorithm>
-#include <map>
 #include <optional>
+#include <span>
 #include <sstream>
 
 #include "ckpt/checkpoint.h"
@@ -16,76 +16,102 @@ namespace kanon {
 
 namespace {
 
-/// Per-column mode over the rows flagged unassigned, computed off the
-/// columnar mirror (one contiguous scan per attribute). Ties break to
-/// the lowest code: the map iterates codes ascending and the comparison
-/// is strict.
-std::vector<ValueCode> ModeCentroid(const PackedTable& packed,
-                                    const std::vector<bool>& assigned) {
-  std::vector<ValueCode> centroid(packed.num_columns(), 0);
-  for (ColId c = 0; c < packed.num_columns(); ++c) {
-    const std::span<const ValueCode> column = packed.column(c);
-    std::map<ValueCode, size_t> counts;
-    for (RowId r = 0; r < packed.num_rows(); ++r) {
-      if (!assigned[r]) ++counts[column[r]];
-    }
-    size_t best = 0;
-    for (const auto& [code, count] : counts) {
-      if (count > best) {
-        best = count;
-        centroid[c] = code;
+/// Per-column counts of the unassigned rows' codes, built once and
+/// decremented as rows are assigned, so the mode centroid costs one pass
+/// over each column's distinct codes instead of a recount.
+class ModeCounts {
+ public:
+  ModeCounts(const PackedTable& packed, const std::vector<bool>& assigned)
+      : columns_(packed.num_columns()) {
+    for (ColId c = 0; c < packed.num_columns(); ++c) {
+      const std::span<const ValueCode> column = packed.column(c);
+      Column& col = columns_[c];
+      col.codes.assign(column.begin(), column.end());
+      std::sort(col.codes.begin(), col.codes.end());
+      col.codes.erase(std::unique(col.codes.begin(), col.codes.end()),
+                      col.codes.end());
+      col.count.assign(col.codes.size(), 0);
+      col.index.reserve(column.size());
+      for (RowId r = 0; r < column.size(); ++r) {
+        col.index.push_back(static_cast<uint32_t>(
+            std::lower_bound(col.codes.begin(), col.codes.end(),
+                             column[r]) -
+            col.codes.begin()));
+        if (!assigned[r]) ++col.count[col.index.back()];
       }
     }
   }
-  return centroid;
-}
 
-/// Hamming distance of row r to an explicit centroid vector.
-ColId DistanceToCentroid(const Table& table, RowId r,
-                         const std::vector<ValueCode>& centroid) {
-  ColId d = 0;
-  for (ColId c = 0; c < table.num_columns(); ++c) {
-    if (table.at(r, c) != centroid[c]) ++d;
+  void Remove(RowId r) {
+    for (Column& col : columns_) --col.count[col.index[r]];
   }
-  return d;
-}
 
-/// Farthest unassigned row from `centroid` (lowest id on ties).
-RowId FarthestFromCentroid(const Table& table,
-                           const std::vector<bool>& assigned,
-                           const std::vector<ValueCode>& centroid) {
-  RowId best = table.num_rows();
-  ColId best_d = 0;
-  for (RowId r = 0; r < table.num_rows(); ++r) {
-    if (assigned[r]) continue;
-    const ColId d = DistanceToCentroid(table, r, centroid);
-    if (best == table.num_rows() || d > best_d) {
-      best = r;
-      best_d = d;
+  /// Per-column mode of the unassigned rows. Ties go to the lowest
+  /// code, so `*` (kSuppressedCode, the largest) ranks last.
+  std::vector<ValueCode> Centroid() const {
+    std::vector<ValueCode> centroid(columns_.size(), 0);
+    for (size_t c = 0; c < columns_.size(); ++c) {
+      const Column& col = columns_[c];
+      size_t best = 0;
+      for (size_t i = 0; i < col.count.size(); ++i) {
+        if (col.count[i] > best) {
+          best = col.count[i];
+          centroid[c] = col.codes[i];
+        }
+      }
     }
+    return centroid;
+  }
+
+ private:
+  struct Column {
+    std::vector<ValueCode> codes;  // distinct codes, ascending
+    std::vector<size_t> count;     // unassigned rows per code
+    std::vector<uint32_t> index;   // each row's position in `codes`
+  };
+  std::vector<Column> columns_;
+};
+
+/// Farthest row of `live` (the unassigned rows, ascending) from `center`
+/// in Hamming distance, lowest id on ties. The distances accumulate one
+/// packed column at a time into `dist`, so the scan reads contiguous
+/// codes.
+RowId FarthestFrom(const PackedTable& packed,
+                   std::span<const ValueCode> center,
+                   const std::vector<RowId>& live, std::vector<ColId>* dist) {
+  dist->assign(packed.num_rows(), 0);
+  for (ColId c = 0; c < packed.num_columns(); ++c) {
+    AddMismatches(packed.column(c).data(), center[c], packed.num_rows(),
+                  dist->data());
+  }
+  RowId best = live.front();
+  for (const RowId r : live) {
+    if ((*dist)[r] > (*dist)[best]) best = r;
   }
   return best;
 }
 
-/// Groups `seed` with its k-1 nearest unassigned rows; marks them
-/// assigned and returns the group.
-Group TakeGroupAround(const Table& table, const DistanceOracle& dm,
-                      RowId seed, size_t k, std::vector<bool>* assigned,
-                      size_t* unassigned) {
-  Group group = {seed};
-  (*assigned)[seed] = true;
-  --*unassigned;
-  // k-1 nearest by (distance, id).
+/// Groups `seed` with its k-1 nearest rows of `live` by (distance, id),
+/// marks the group assigned, drops it from `live` and `counts`, and
+/// returns it.
+Group TakeGroupAround(const DistanceOracle& dm, RowId seed, size_t k,
+                      std::vector<RowId>* live, std::vector<bool>* assigned,
+                      ModeCounts* counts) {
   std::vector<std::pair<ColId, RowId>> near;
-  for (RowId r = 0; r < table.num_rows(); ++r) {
-    if (!(*assigned)[r]) near.emplace_back(dm.at(seed, r), r);
+  near.reserve(live->size());
+  for (const RowId r : *live) {
+    if (r != seed) near.emplace_back(dm.at(seed, r), r);
   }
-  std::sort(near.begin(), near.end());
-  for (size_t i = 0; i < k - 1; ++i) {
-    group.push_back(near[i].second);
-    (*assigned)[near[i].second] = true;
-    --*unassigned;
+  // The keys are unique, so this picks the same rows, in the same order,
+  // as a full sort.
+  std::partial_sort(near.begin(), near.begin() + (k - 1), near.end());
+  Group group = {seed};
+  for (size_t i = 0; i < k - 1; ++i) group.push_back(near[i].second);
+  for (const RowId r : group) {
+    (*assigned)[r] = true;
+    counts->Remove(r);
   }
+  std::erase_if(*live, [&](RowId r) { return (*assigned)[r]; });
   return group;
 }
 
@@ -107,7 +133,6 @@ AnonymizationResult MdavAnonymizer::Run(const Table& table, size_t k,
   const DistanceOracle& dm = **oracle;
   const PackedTable packed(table);
   std::vector<bool> assigned(n, false);
-  size_t unassigned = n;
   bool resumed = false;
 
   AnonymizationResult result;
@@ -145,13 +170,18 @@ AnonymizationResult MdavAnonymizer::Run(const Table& table, size_t k,
       }
       if (usable && grouped == saved_count) {
         assigned = std::move(saved_assigned);
-        unassigned = n - saved_count;
         result.partition = std::move(saved);
         resumed = true;
       }
     }
   }
-  while (unassigned >= 3 * k) {
+  ModeCounts counts(packed, assigned);
+  std::vector<RowId> live;  // the unassigned rows, ascending
+  for (RowId r = 0; r < n; ++r) {
+    if (!assigned[r]) live.push_back(r);
+  }
+  std::vector<ColId> dist;
+  while (live.size() >= 3 * k) {
     ctx->ChargeNodes();
     if (ctx->ShouldStop()) {
       // The partial grouping is not a valid partition (unassigned rows
@@ -159,7 +189,7 @@ AnonymizationResult MdavAnonymizer::Run(const Table& table, size_t k,
       // stages; its checkpoint carries the progress forward instead.
       return StoppedResult(*ctx, timer.Seconds(),
                            "stopped mid-phase with " +
-                               std::to_string(unassigned) +
+                               std::to_string(live.size()) +
                                " rows unassigned");
     }
     if (ctx->CheckpointDue()) {
@@ -173,30 +203,19 @@ AnonymizationResult MdavAnonymizer::Run(const Table& table, size_t k,
       w.PutPartition(result.partition);
       (void)ctx->EmitCheckpoint("mdav", w.bytes());
     }
-    const std::vector<ValueCode> centroid = ModeCentroid(packed, assigned);
-    const RowId r = FarthestFromCentroid(table, assigned, centroid);
+    const RowId r = FarthestFrom(packed, counts.Centroid(), live, &dist);
     result.partition.groups.push_back(
-        TakeGroupAround(table, dm, r, k, &assigned, &unassigned));
-    const RowId s = FarthestFromCentroid(
-        table, assigned, std::vector<ValueCode>(table.row(r).begin(),
-                                                table.row(r).end()));
+        TakeGroupAround(dm, r, k, &live, &assigned, &counts));
+    const RowId s = FarthestFrom(packed, table.row(r), live, &dist);
     result.partition.groups.push_back(
-        TakeGroupAround(table, dm, s, k, &assigned, &unassigned));
+        TakeGroupAround(dm, s, k, &live, &assigned, &counts));
   }
-  if (unassigned >= 2 * k) {
-    const std::vector<ValueCode> centroid = ModeCentroid(packed, assigned);
-    const RowId r = FarthestFromCentroid(table, assigned, centroid);
+  if (live.size() >= 2 * k) {
+    const RowId r = FarthestFrom(packed, counts.Centroid(), live, &dist);
     result.partition.groups.push_back(
-        TakeGroupAround(table, dm, r, k, &assigned, &unassigned));
+        TakeGroupAround(dm, r, k, &live, &assigned, &counts));
   }
-  if (unassigned > 0) {
-    Group rest;
-    for (RowId r = 0; r < n; ++r) {
-      if (!assigned[r]) rest.push_back(r);
-    }
-    unassigned = 0;
-    result.partition.groups.push_back(std::move(rest));
-  }
+  if (!live.empty()) result.partition.groups.push_back(std::move(live));
 
   FinalizeResult(table, &result);
   result.seconds = timer.Seconds();

@@ -20,6 +20,14 @@
 /// MDAV produces fixed-size-k groups except the final one — the
 /// classic statistical-disclosure-control competitor to the clustering
 /// baselines, used in E8-style comparisons.
+///
+/// The scans are incremental. Per-column counts of the unassigned rows'
+/// codes are built once (after any resume) and decremented as rows are
+/// assigned, so each centroid is one pass over the distinct codes (ties
+/// to the lowest code, `*` last). The farthest-row scans read the
+/// columnar mirror one contiguous column at a time, and the k-1 nearest
+/// rows come from a partial sort of (distance, id) over the seed's
+/// DistanceOracle row.
 
 namespace kanon {
 

@@ -1,9 +1,11 @@
 #include "core/distance_oracle.h"
 
 #include <algorithm>
+#include <limits>
 #include <new>
 #include <utility>
 
+#include "data/packed_table.h"
 #include "fault/fault.h"
 #include "util/logging.h"
 #include "util/parallel.h"
@@ -12,53 +14,39 @@ namespace kanon {
 
 namespace {
 
-/// Rows per tile of the blocked table fill. A 64-row tile of 16-column
-/// uint32 codes is ~4 KiB per side, so one tile pair lives comfortably
-/// in L1 and each row is reused 64 times per load.
-constexpr RowId kDistanceTile = 64;
+using Cell = DistanceOracle::Cell;
 
-/// Tiled symmetric fill of the all-pairs table. Cell (x, y) with x < y
-/// is written exactly once, by the tile pair (x/T, y/T), and tile rows
-/// are distributed across workers by ParallelFor, so writes are
-/// race-free and the result is bit-identical to the serial fill. With a
-/// stopped context the unvisited tail is simply left zero — callers
+/// Strip fill of the all-pairs table: row a of the table is the sum
+/// over columns c of [column_c[b] != column_c[a]], accumulated one
+/// contiguous column at a time. Rows are distributed across workers by
+/// ParallelFor; every row costs the same, so the static split is
+/// balanced, and each cell is written by one worker only, so the result
+/// is bit-identical to the serial fill. `dist` must start zeroed. With a
+/// stopped context the unvisited rows are simply left zero — callers
 /// must check ctx->ShouldStop() and discard the partial table.
-void FillDistanceTiled(const Table& table, ColId* dist, RunContext* ctx) {
-  const RowId n = table.num_rows();
-  const ColId m = table.num_columns();
-  const size_t num_tiles =
-      (static_cast<size_t>(n) + kDistanceTile - 1) / kDistanceTile;
+void FillDistanceStrips(const PackedTable& packed, Cell* dist,
+                        RunContext* ctx) {
+  const RowId n = packed.num_rows();
+  std::vector<const ValueCode*> columns;
+  for (ColId c = 0; c < packed.num_columns(); ++c) {
+    columns.push_back(packed.column(c).data());
+  }
+  // Chunks of 64 rows: a table that small fills inline, on the caller.
   ParallelFor(
-      0, num_tiles, /*min_chunk=*/1,
+      0, n, /*min_chunk=*/64,
       [&](size_t lo, size_t hi) {
-        for (size_t ta = lo; ta < hi; ++ta) {
-          const RowId a0 = static_cast<RowId>(ta * kDistanceTile);
-          const RowId a1 =
-              std::min<RowId>(n, a0 + kDistanceTile);
-          for (size_t tb = ta; tb < num_tiles; ++tb) {
-            // One cooperative checkpoint per tile pair: an injected
-            // fault expires the deadline exactly like a real one.
-            if (ctx != nullptr) {
-              if (KANON_FAULT_POINT("distance.build")) {
-                ctx->MarkStopped(StopReason::kDeadline);
-              }
-              if (ctx->ShouldStop()) return;
+        for (RowId a = static_cast<RowId>(lo); a < hi; ++a) {
+          // One cooperative checkpoint per row: an injected fault
+          // expires the deadline exactly like a real one.
+          if (ctx != nullptr) {
+            if (KANON_FAULT_POINT("distance.build")) {
+              ctx->MarkStopped(StopReason::kDeadline);
             }
-            const RowId b0 = static_cast<RowId>(tb * kDistanceTile);
-            const RowId b1 =
-                std::min<RowId>(n, b0 + kDistanceTile);
-            for (RowId a = a0; a < a1; ++a) {
-              const ValueCode* ra = table.row(a).data();
-              for (RowId b = (tb == ta ? a + 1 : b0); b < b1; ++b) {
-                const ValueCode* rb = table.row(b).data();
-                ColId d = 0;
-                for (ColId j = 0; j < m; ++j) {
-                  d += static_cast<ColId>(ra[j] != rb[j]);
-                }
-                dist[static_cast<size_t>(a) * n + b] = d;
-                dist[static_cast<size_t>(b) * n + a] = d;
-              }
-            }
+            if (ctx->ShouldStop()) return;
+          }
+          Cell* const row = dist + static_cast<size_t>(a) * n;
+          for (const ValueCode* column : columns) {
+            AddMismatches(column, column[a], n, row);
           }
         }
       },
@@ -72,12 +60,16 @@ StatusOr<std::unique_ptr<DistanceOracle>> DistanceOracle::Create(
     RunContext* ctx) {
   const RowId n = table.num_rows();
   std::unique_ptr<DistanceOracle> oracle(new DistanceOracle(table, n));
-  if (n > options.dense_threshold) return oracle;
+  // A cell holds d(a, b) <= m, so wider tables take the on-demand branch.
+  if (n > options.dense_threshold ||
+      table.num_columns() > std::numeric_limits<Cell>::max()) {
+    return oracle;
+  }
 
   const size_t cells = static_cast<size_t>(n) * n;
-  const size_t bytes = cells * sizeof(ColId);
+  const size_t bytes = cells * sizeof(Cell);
   // Overflow / address-space guard: refuse instead of throwing.
-  if (n != 0 && (cells / n != n || bytes / sizeof(ColId) != cells)) {
+  if (n != 0 && (cells / n != n || bytes / sizeof(Cell) != cells)) {
     if (ctx != nullptr) ctx->MarkStopped(StopReason::kBudget);
     return Status::ResourceExhausted(
         "distance table: n^2 cell count overflows");
@@ -97,7 +89,7 @@ StatusOr<std::unique_ptr<DistanceOracle>> DistanceOracle::Create(
         "distance table allocation failed (bad_alloc)");
   }
   oracle->dense_ = true;
-  FillDistanceTiled(table, oracle->dist_.data(), ctx);
+  FillDistanceStrips(PackedTable(table), oracle->dist_.data(), ctx);
   if (ctx != nullptr && ctx->ShouldStop()) {
     // The partially filled table is discarded with the oracle.
     return StopReasonToStatus(ctx->stop_reason());

@@ -2,6 +2,7 @@
 #define KANON_CORE_DISTANCE_ORACLE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -16,15 +17,20 @@
 /// The library's single source of pairwise row distances (Definition
 /// 4.1). It picks its representation by instance size:
 ///
-///   * **dense** (n <= options.dense_threshold): the all-pairs n^2
-///     table, filled once by a cache-blocked tile loop spread over the
-///     worker pool. Lookups are O(1). The n^2 footprint is charged
-///     against the RunContext memory budget, and failure comes back as a
-///     typed StatusOr — never bad_alloc. The fill is cancellation-aware
-///     and probes the `distance.build` fault site;
-///   * **on demand** (above the threshold): no table at all. Each lookup
-///     is `RowDistance`, O(m). Center scans (mdav, cluster_greedy) read
-///     each row's distances once, so a cache would not pay for itself.
+///   * **dense** (n <= options.dense_threshold and m <= 255): the
+///     all-pairs n^2 table of one-byte cells (d(a, b) <= m fits a byte),
+///     filled once row strip by row strip from the columnar mirror
+///     (`PackedTable`): row a is the sum over columns c of
+///     [column_c[b] != column_c[a]], in a loop the compiler vectorizes,
+///     with rows spread over the worker pool. Lookups are O(1). The n^2
+///     bytes are charged against the RunContext memory budget, and
+///     failure comes back as a typed StatusOr — never bad_alloc. The
+///     fill is cancellation-aware and probes the `distance.build` fault
+///     site once per row;
+///   * **on demand** (above the threshold, or more than 255 columns): no
+///     table at all. Each lookup is `RowDistance`, O(m). Center scans
+///     (mdav, cluster_greedy) read each row's distances once, so a cache
+///     would not pay for itself.
 ///
 /// Both representations return exactly the same distances, so solver
 /// outputs are bit-identical whichever path is active (the data-plane
@@ -33,7 +39,8 @@
 namespace kanon {
 
 struct DistanceOracleOptions {
-  /// Largest n for which the dense n^2 table is materialized.
+  /// Largest n for which the dense n^2 table is materialized (a table
+  /// with more than 255 columns never is).
   RowId dense_threshold = 4096;
 };
 
@@ -42,6 +49,10 @@ struct DistanceOracleOptions {
 /// the source table, which must outlive it.
 class DistanceOracle {
  public:
+  /// One cell of the dense table. A table with more columns than a cell
+  /// can count is never dense.
+  using Cell = uint8_t;
+
   /// Builds an oracle for `table`. `ctx` may be null (no accounting or
   /// cancellation). The dense branch fails with
   ///   * kResourceExhausted when the n^2 table overflows, exceeds the
@@ -84,7 +95,7 @@ class DistanceOracle {
   const Table& table_;
   const RowId n_;
   bool dense_ = false;
-  std::vector<ColId> dist_;
+  std::vector<Cell> dist_;
   RunContext* lease_ctx_ = nullptr;
   size_t lease_bytes_ = 0;
 };

@@ -1,11 +1,14 @@
 #include "core/distance_oracle.h"
 
+#include <string>
 #include <vector>
 
 #include "core/bounds.h"
 #include "core/distance.h"
 #include "data/generators/uniform.h"
+#include "fault/fault.h"
 #include "gtest/gtest.h"
+#include "util/parallel.h"
 #include "util/random.h"
 
 namespace kanon {
@@ -63,7 +66,8 @@ TEST(DistanceOracleTest, OnDemandPathMatchesMatrixExactly) {
     }
   }
   // Only the dense table is charged to the budget.
-  EXPECT_EQ(ctx.peak_memory_bytes(), 40 * 40 * sizeof(ColId));
+  EXPECT_EQ(ctx.peak_memory_bytes(),
+            40 * 40 * sizeof(DistanceOracle::Cell));
 }
 
 TEST(DistanceOracleTest, KnnLowerBoundAgreesAcrossRepresentations) {
@@ -84,7 +88,7 @@ TEST(DistanceOracleTest, KnnLowerBoundAgreesAcrossRepresentations) {
 TEST(DistanceOracleTest, MatrixOverBudgetIsTypedError) {
   const Table t = MakeTable(64, 4, 5);
   RunContext ctx;
-  ctx.set_memory_limit_bytes(1024);  // far below 64*64*4 bytes
+  ctx.set_memory_limit_bytes(1024);  // below the 64*64 one-byte cells
   const auto oracle = DistanceOracle::Create(t, {}, &ctx);
   ASSERT_FALSE(oracle.ok());
   EXPECT_EQ(oracle.status().code(), StatusCode::kResourceExhausted);
@@ -103,7 +107,7 @@ TEST(DistanceOracleTest, OracleOverBudgetIsTypedError) {
 
 TEST(DistanceOracleTest, MatrixLeaseReleasesOnDestruction) {
   const Table t = MakeTable(32, 4, 7);
-  const size_t bytes = 32 * 32 * sizeof(ColId);
+  const size_t bytes = 32 * 32 * sizeof(DistanceOracle::Cell);
   RunContext ctx;
   ctx.set_memory_limit_bytes(bytes);  // exactly one table fits
   {
@@ -126,6 +130,142 @@ TEST(DistanceOracleTest, CancelledBuildReturnsStopStatus) {
   const auto oracle = DistanceOracle::Create(t, {}, &ctx);
   ASSERT_FALSE(oracle.ok());
   EXPECT_EQ(oracle.status().code(), StatusCode::kCancelled);
+}
+
+// Restores the process-wide kernel parallelism on scope exit.
+class ParallelismGuard {
+ public:
+  explicit ParallelismGuard(unsigned workers) : saved_(GetParallelism()) {
+    SetParallelism(workers);
+  }
+  ~ParallelismGuard() { SetParallelism(saved_); }
+  ParallelismGuard(const ParallelismGuard&) = delete;
+  ParallelismGuard& operator=(const ParallelismGuard&) = delete;
+
+ private:
+  const unsigned saved_;
+};
+
+// A uniform table with about 10% `*` cells, and rows 0 and 1 differing
+// in every column, so the largest distance a cell must hold (m) occurs.
+Table MakeStarredTable(RowId n, ColId m, uint64_t seed) {
+  Rng rng(seed);
+  Table t = UniformTable({.num_rows = n, .num_columns = m, .alphabet = 3},
+                         &rng);
+  for (RowId r = 0; r < n; ++r) {
+    for (ColId c = 0; c < m; ++c) {
+      if (r < 2) {
+        t.set(r, c, r);
+      } else if (rng.Bernoulli(0.1)) {
+        t.set(r, c, kSuppressedCode);
+      }
+    }
+  }
+  return t;
+}
+
+// Number of pairs where the oracle disagrees with RowDistance.
+size_t CountMismatches(const Table& t, const DistanceOracle& oracle) {
+  size_t mismatches = 0;
+  for (RowId a = 0; a < t.num_rows(); ++a) {
+    for (RowId b = 0; b < t.num_rows(); ++b) {
+      mismatches += oracle.at(a, b) != RowDistance(t, a, b) ? 1 : 0;
+    }
+  }
+  return mismatches;
+}
+
+// The strip fill works in 64-row blocks with a scalar tail, and splits
+// rows across workers: sizes on both sides of each block edge, widths up
+// to the largest distance a byte cell holds, and several worker counts.
+TEST(DistanceOracleTest, DenseFillMatchesRowDistanceAtEdges) {
+  for (const unsigned workers : {1u, 2u, 8u}) {
+    const ParallelismGuard parallelism(workers);
+    for (const RowId n :
+         {1u, 2u, 15u, 16u, 17u, 63u, 64u, 65u, 129u, 300u}) {
+      for (const ColId m : {1u, 3u, 8u, 17u, 255u}) {
+        const Table t = MakeStarredTable(n, m, 100 * n + m);
+        RunContext ctx;
+        const auto oracle = DistanceOracle::Create(t, {}, &ctx);
+        ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+        ASSERT_TRUE((*oracle)->dense());
+        EXPECT_EQ(CountMismatches(t, **oracle), 0u)
+            << "n=" << n << " m=" << m << " workers=" << workers;
+        if (n >= 2) {
+          EXPECT_EQ((*oracle)->at(0, 1), m);
+        }
+        EXPECT_EQ(ctx.memory_charged_bytes(),
+                  size_t{n} * n * sizeof(DistanceOracle::Cell));
+      }
+    }
+  }
+}
+
+// Past 255 columns a distance no longer fits a cell: the oracle answers
+// on demand, charges nothing, and still agrees.
+TEST(DistanceOracleTest, WideTableIsOnDemand) {
+  const Table t = MakeStarredTable(40, 256, 12);
+  RunContext ctx;
+  const auto oracle = DistanceOracle::Create(t, {}, &ctx);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  EXPECT_FALSE((*oracle)->dense());
+  EXPECT_EQ(CountMismatches(t, **oracle), 0u);
+  EXPECT_EQ((*oracle)->at(0, 1), 256u);
+  EXPECT_EQ(ctx.peak_memory_bytes(), 0u);
+}
+
+TEST(DistanceOracleTest, CancelledBuildReleasesItsCharge) {
+  const Table t = MakeTable(100, 5, 13);
+  RunContext ctx;
+  ctx.RequestCancel();
+  const auto oracle = DistanceOracle::Create(t, {}, &ctx);
+  ASSERT_FALSE(oracle.ok());
+  EXPECT_EQ(oracle.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(ctx.peak_memory_bytes(), 100u * 100u);
+  EXPECT_EQ(ctx.memory_charged_bytes(), 0u);
+}
+
+// The `distance.build` site fires on a row in the middle of the fill:
+// the build stops there, returns the deadline status, and the partial
+// table's charge is released.
+TEST(DistanceOracleTest, FaultMidFillReturnsStopStatusAndReleasesCharge) {
+  constexpr RowId kRows = 200;
+  constexpr double kProbability = 0.05;
+  const uint64_t site_fp =
+      FaultRegistry::Instance().Register("distance.build").name_fp;
+  // The first plan seed whose first firing hit lands on rows 10..99.
+  FaultPlan plan;
+  uint64_t fire_row = 0;
+  while (fire_row == 0) {
+    ++plan.seed;
+    uint64_t hit = 0;
+    while (hit < 100 && !FaultRegistry::FireDecision(plan.seed, site_fp,
+                                                     hit, kProbability)) {
+      ++hit;
+    }
+    if (hit >= 10 && hit < 100) fire_row = hit;
+  }
+  plan.sites.push_back({.site = "distance.build",
+                        .probability = kProbability});
+
+  const ParallelismGuard serial(1);  // rows are visited in order
+  const Table t = MakeTable(kRows, 5, 14);
+  RunContext ctx;
+  {
+    const ScopedFaultInjection injection(plan);
+    const auto oracle = DistanceOracle::Create(t, {}, &ctx);
+    ASSERT_FALSE(oracle.ok());
+    EXPECT_EQ(oracle.status().code(), StatusCode::kDeadlineExceeded);
+    for (const FaultSiteSnapshot& site :
+         FaultRegistry::Instance().Snapshot()) {
+      if (site.name != "distance.build") continue;
+      EXPECT_EQ(site.fires, 1u);
+      EXPECT_EQ(site.hits, fire_row + 1) << "the fill stops on that row";
+    }
+  }
+  EXPECT_EQ(ctx.stop_reason(), StopReason::kDeadline);
+  EXPECT_EQ(ctx.peak_memory_bytes(), size_t{kRows} * kRows);
+  EXPECT_EQ(ctx.memory_charged_bytes(), 0u);
 }
 
 TEST(DistanceOracleTest, SharedOracleIsReusedAcrossCallers) {
