@@ -9,6 +9,7 @@
 #include "algo/branch_bound.h"
 #include "algo/cluster_greedy.h"
 #include "algo/exact_dp.h"
+#include "algo/fallback.h"
 #include "algo/greedy_cover.h"
 #include "algo/mdav.h"
 #include "algo/mondrian.h"
@@ -107,6 +108,33 @@ void BM_BranchBoundPool(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BranchBoundPool)->Unit(benchmark::kMillisecond);
+
+// The default resilient chain on 32 seeded uniform tables (3 columns,
+// alphabet 4) of range(0) rows, k=3, each one Run on a fresh context
+// with the 2000-node budget kanon_load sends. One iteration runs all
+// 32. At 22 rows branch_bound answers; at 40 rows it declines and
+// cluster_greedy+local_search answers.
+void BM_ResilientChain(benchmark::State& state) {
+  Rng rng(21);
+  std::vector<Table> tables;
+  for (int i = 0; i < 32; ++i) {
+    tables.push_back(UniformTable(
+        {.num_rows = static_cast<uint32_t>(state.range(0)),
+         .num_columns = 3,
+         .alphabet = 4},
+        &rng));
+  }
+  for (auto _ : state) {
+    for (const Table& t : tables) {
+      RunContext ctx;
+      ctx.set_node_budget(2000);
+      FallbackAnonymizer chain;
+      benchmark::DoNotOptimize(chain.Run(t, 3, &ctx).cost);
+    }
+  }
+}
+BENCHMARK(BM_ResilientChain)->Arg(22)->Arg(40)
+    ->Unit(benchmark::kMillisecond);
 
 // mdav on serve_bench's mdav_large request shape: one seeded 2048-row
 // census table (8 columns), k=5, one Run per iteration on a fresh

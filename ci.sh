@@ -169,6 +169,8 @@ AB_GATES=(
   "bench_micro_distance BM_DistanceMatrixBuildTiled/2048"
   "bench_micro_anonymizers BM_BranchBoundPool"
   "bench_micro_anonymizers BM_MdavCensus"
+  "bench_micro_anonymizers BM_ResilientChain/22"
+  "bench_micro_anonymizers BM_ResilientChain/40"
 )
 run_ab() {
   local tree gate target bench
@@ -452,11 +454,13 @@ print(f"n=2048: scalar seed {scalar:.1f} ms, dense build {tiled:.1f} ms "
 assert tiled < scalar, "dense distance build no faster than scalar seed"
 EOF
 
-echo "=== A/B gates vs HEAD~1: distance build, branch & bound pool, mdav ==="
+echo "=== A/B gates vs HEAD~1: distance build, branch & bound pool, mdav, chain ==="
 # None may regress against the parent commit on this host (see run_ab):
 # the n = 2048 dense distance build, branch_bound on kanon_load's
-# 256-table pool at the 2000-node budget, and mdav on a 2048-row census
-# table at k=5 (oracle build included).
+# 256-table pool at the 2000-node budget, mdav on a 2048-row census
+# table at k=5 (oracle build included), and the default resilient chain
+# on 32 tables of 22 rows (branch_bound answers) and of 40 rows
+# (cluster_greedy+local_search answers).
 run_ab
 
 echo "=== terminal-path guard: the suppress_all answer grows linearly ==="

@@ -358,8 +358,8 @@ int main(int argc, char** argv) {
                          std::numeric_limits<long long>::max());
   const StatusOr<long long> rows = cl.GetValidatedInt("rows", 24, 4, 4096);
   const StatusOr<long long> k_flag = cl.GetValidatedInt("k", 3, 1, 64);
-  // Without a budget the resilient chain is allowed to run its exact
-  // stages to completion, which is exponential in the worst case — a
+  // Without a budget the resilient chain is allowed to run branch_bound
+  // to completion, which is exponential in the worst case — a
   // benchmark wants the *serving* cost, so bound the solver and let the
   // chain degrade the way production requests do.
   const StatusOr<long long> node_budget =

@@ -1,9 +1,10 @@
 // kanond — the k-anonymization daemon: a long-running service speaking
 // the newline-delimited line protocol (service/server.h) over
 // stdin/stdout. Each `anonymize` line is validated, admitted through
-// the bounded job queue, executed on the worker pool inside the
-// resilient fallback chain, and answered from the LRU result cache when
-// the same (table, algorithm, k) instance was already solved.
+// the bounded job queue, executed on the worker pool as the requested
+// algorithm followed by suppress_all (`resilient` runs its own chain),
+// and answered from the LRU result cache when the same (table,
+// algorithm, k) instance was already solved.
 //
 // Usage:
 //   ./kanond [--workers=N] [--queue-capacity=N] [--cache-capacity=N]

@@ -207,11 +207,14 @@ AnonymizationResult BranchBoundAnonymizer::Run(const Table& table,
   // Seed: the cluster_greedy+local_search answer. cluster_greedy runs
   // on this context, so it reuses the oracle above; the local search
   // gets no context, so the seed charges no node and writes no
-  // checkpoint. The search never replaces the incumbent with anything
-  // costlier, so even a stop at the first node is no worse than the
-  // heuristic.
+  // checkpoint. A stop during the seed declines; after it, the search
+  // never replaces the incumbent with anything costlier, so even a stop
+  // at the first node is no worse than the heuristic.
   Partition incumbent =
       ClusterGreedyAnonymizer().Run(table, k, ctx).partition;
+  if (incumbent.groups.empty()) {
+    return StoppedResult(*ctx, timer.Seconds(), "stopped while seeding");
+  }
   ImprovePartition(table, k, LocalSearchOptions{}, &incumbent);
   size_t incumbent_cost = PartitionCost(table, incumbent);
   bool resumed = false;

@@ -34,6 +34,13 @@ AnonymizationResult ClusterGreedyAnonymizer::Run(const Table& table, size_t k,
   std::vector<GroupStats> stats;
   RowId seed = 0;
   while (unassigned >= k) {
+    // Each group costs O(nkm); a stop leaves rows unassigned, so the
+    // run declines like mdav.
+    if (ctx->ShouldStop()) {
+      return StoppedResult(*ctx, timer.Seconds(),
+                           "stopped with " + std::to_string(unassigned) +
+                               " rows unassigned");
+    }
     // Seed: the unassigned row farthest from the previous seed (first
     // iteration: row 0).
     RowId far = n;

@@ -9,7 +9,8 @@
 /// seed, then greedily add the unassigned row whose inclusion increases
 /// the group's ANON cost the least, until the group has k members.
 /// Leftover rows (< k of them) are folded into the group whose cost
-/// grows least. A strong practical competitor on clustered data.
+/// grows least. A strong practical competitor on clustered data. It polls
+/// its context once per group; a stop returns an empty partition.
 
 namespace kanon {
 

@@ -9,11 +9,13 @@
 
 namespace kanon {
 
+/// Share of the remaining deadline granted to each non-final stage; the
+/// final stage gets everything left.
+constexpr double kNonFinalDeadlineFraction = 0.5;
+
 FallbackAnonymizer::FallbackAnonymizer(FallbackOptions options)
     : options_(std::move(options)) {
   KANON_CHECK(!options_.stages.empty());
-  KANON_CHECK_GT(options_.non_final_deadline_fraction, 0.0);
-  KANON_CHECK_LE(options_.non_final_deadline_fraction, 1.0);
   stages_.reserve(options_.stages.size());
   for (const std::string& stage : options_.stages) {
     KANON_CHECK(stage != "resilient") << "fallback chain cannot nest itself";
@@ -34,16 +36,24 @@ AnonymizationResult FallbackAnonymizer::Run(const Table& table, size_t k,
 
   WallTimer timer;
   // First limit observed across the chain; kNone iff the accepted stage
-  // is the first one and it ran to completion.
+  // is the first one and it ran to completion. A later deadline or
+  // cancel replaces a budget latch (a structural decline): it makes the
+  // answer this request's artifact, which the service must not cache.
   StopReason first_stop = StopReason::kNone;
+  const auto latch = [&first_stop](StopReason stop) {
+    if (first_stop == StopReason::kNone || first_stop == StopReason::kBudget) {
+      if (stop != StopReason::kNone) first_stop = stop;
+    }
+  };
   std::ostringstream chain;
 
   for (size_t i = 0; i < stages_.size(); ++i) {
     // If the caller's own limit has tripped, that — not a stage's
-    // structural decline — is why the chain degrades; record it first.
-    if (first_stop == StopReason::kNone && ctx->ShouldStop()) {
-      first_stop = ctx->stop_reason();
-    }
+    // structural decline — is why the chain degrades; record it. Such an
+    // attempt is doomed for reasons that say nothing about the stage, so
+    // its outcome must not move the breaker either.
+    const bool caller_stopped = ctx->ShouldStop();
+    if (caller_stopped) latch(ctx->stop_reason());
     const bool last = (i + 1 == stages_.size());
     // A tripped breaker skips the stage outright: when a stage has been
     // failing for everyone, burning a deadline slice on it again only
@@ -60,8 +70,7 @@ AnonymizationResult FallbackAnonymizer::Run(const Table& table, size_t k,
     if (ctx->has_deadline()) {
       const double remaining = ctx->remaining_millis();
       child.set_deadline_after_millis(
-          last ? remaining
-               : remaining * options_.non_final_deadline_fraction);
+          last ? remaining : remaining * kNonFinalDeadlineFraction);
     }
     if (ctx->node_budget() > 0) {
       const uint64_t used = ctx->nodes_charged();
@@ -72,15 +81,9 @@ AnonymizationResult FallbackAnonymizer::Run(const Table& table, size_t k,
       child.set_memory_limit_bytes(ctx->memory_limit_bytes());
     }
 
-    // Whether the caller's own limit already tripped going in: such an
-    // attempt is doomed for reasons that say nothing about the stage, so
-    // its outcome must not move the breaker.
-    const bool caller_stopped = ctx->ShouldStop();
     AnonymizationResult attempt = stages_[i]->Run(table, k, &child);
     ctx->ChargeNodes(child.nodes_charged());
-    if (first_stop == StopReason::kNone) {
-      first_stop = child.stop_reason();
-    }
+    latch(child.stop_reason());
 
     const bool valid =
         !attempt.partition.groups.empty() &&

@@ -21,9 +21,10 @@
 /// The terminal stage (suppress_all, O(n)) cannot fail for any
 /// 1 <= k <= n, so the chain ALWAYS returns a valid partition; the
 /// result's `termination` and `stage` record how far it degraded.
-/// branch_bound, the default chain's anytime stage, is seeded with the
-/// cluster_greedy+local_search answer: when a budget or deadline stops
-/// it, its answer is still never worse than that heuristic's.
+/// The default chain is branch_bound -> cluster_greedy+local_search ->
+/// suppress_all: branch_bound (up to 28 rows) starts from the
+/// heuristic's answer, so a budget or deadline stop never leaves it
+/// worse than that heuristic, and above 28 rows the heuristic answers.
 
 namespace kanon {
 
@@ -45,11 +46,8 @@ class StageGate {
 struct FallbackOptions {
   /// Registry names tried in order; the last must be unconditionally
   /// feasible (suppress_all). "resilient" itself is rejected.
-  std::vector<std::string> stages = {"exact_dp", "branch_bound",
-                                     "greedy_cover", "suppress_all"};
-  /// Share of the remaining deadline granted to each non-final stage;
-  /// the final stage gets everything left.
-  double non_final_deadline_fraction = 0.5;
+  std::vector<std::string> stages = {
+      "branch_bound", "cluster_greedy+local_search", "suppress_all"};
   /// Optional per-stage admission gate (not owned; may be null).
   StageGate* gate = nullptr;
   /// Optional stage factory; null = registry MakeAnonymizer. The service

@@ -26,11 +26,11 @@
 ///
 ///   > anonymize algo=resilient k=2 csv=age,zip;30,10001;30,10001
 ///   ok id=1 verb=anonymize algo=resilient k=2 rows=2 cost=0
-///     stage=exact_dp termination=completed chain=exact_dp(ok)
+///     stage=branch_bound termination=completed chain=branch_bound(ok)
 ///     cache=miss queue_ms=0.05 run_ms=0.41 csv=age,zip;30,10001;30,10001
 ///   > stats
 ///   ok verb=stats workers=4 queue_depth=0 accepted=1 rejected=0 shed=0
-///     completed=1 ... overload_retry_degraded=0 breakers=exact_dp:closed
+///     completed=1 ... overload_retry_degraded=0 breakers=branch_bound:closed
 ///     cache_hits=0 cache_misses=1 ... overload_level=off build=...
 ///   > shutdown
 ///   ok verb=shutdown served=2

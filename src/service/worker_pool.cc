@@ -35,10 +35,10 @@ AlgorithmKnobs KnobsFor(const AnonymizeRequest& request) {
   return knobs;
 }
 
-/// Wraps the requested algorithm in a degradation chain ending in the
-/// unconditionally-feasible suppress_all, so *every* job yields a valid
-/// partition. "resilient" keeps its own (already terminal) chain. Every
-/// stage is built with the request's knobs.
+/// The chain a request runs: `algorithm -> suppress_all`, ending in the
+/// unconditionally-feasible stage so *every* job yields a valid
+/// partition ("resilient" keeps its default chain). Every stage is built
+/// with the request's knobs.
 FallbackOptions ChainFor(const std::string& algorithm,
                          const AlgorithmKnobs& knobs, StageGate* gate) {
   FallbackOptions options;
@@ -47,12 +47,8 @@ FallbackOptions ChainFor(const std::string& algorithm,
     return MakeAnonymizer(stage, knobs);
   };
   if (algorithm == "resilient") return options;
-  std::vector<std::string> stages = {algorithm};
-  if (algorithm != "greedy_cover" && algorithm != "suppress_all") {
-    stages.push_back("greedy_cover");
-  }
-  if (algorithm != "suppress_all") stages.push_back("suppress_all");
-  options.stages = std::move(stages);
+  options.stages = {algorithm};
+  if (algorithm != "suppress_all") options.stages.push_back("suppress_all");
   return options;
 }
 
@@ -202,12 +198,14 @@ AnonymizeResponse WorkerPool::Execute(const AnonymizeRequest& request,
   // degraded purely by *structural* caps (latched as kBudget when the
   // request set no budget and the job's own context never tripped) —
   // those replay identically for every future request on this instance.
-  // Deadline, cancellation and request-budget artifacts do not.
+  // Deadline, cancellation and request-budget artifacts do not, nor do
+  // answers after a breaker skip, which follow other requests' failures.
   const bool deterministic_outcome =
-      result.completed() ||
-      (result.termination == StopReason::kBudget &&
-       request.node_budget == 0 &&
-       ctx->stop_reason() == StopReason::kNone);
+      (result.completed() ||
+       (result.termination == StopReason::kBudget &&
+        request.node_budget == 0 &&
+        ctx->stop_reason() == StopReason::kNone)) &&
+      response.chain.find("(skipped:breaker)") == std::string::npos;
   // The CSV payload is also what the cache stores, so materialize it
   // whenever either consumer needs it.
   const bool cacheable = cache != nullptr && deterministic_outcome;

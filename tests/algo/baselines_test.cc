@@ -4,6 +4,7 @@
 #include "algo/random_partition.h"
 #include "algo/suppress_all.h"
 
+#include "core/distance_oracle.h"
 #include "data/generators/census.h"
 #include "data/generators/clustered.h"
 #include "data/generators/uniform.h"
@@ -84,6 +85,19 @@ TEST(ClusterGreedyTest, LeftoversFolded) {
   ClusterGreedyAnonymizer algo;
   const auto result = ValidateResult(t, 3, algo.Run(t, 3));
   EXPECT_EQ(result.partition.TotalMembers(), 11u);
+}
+
+TEST(ClusterGreedyTest, StopsWithOracleCachedAndDeadlineExpired) {
+  // The oracle is already on the context, so only the greedy scans can
+  // notice the expired deadline; a stopped run returns no partition.
+  const Table t = RandomTable(10, 40);
+  RunContext ctx;
+  ASSERT_TRUE(SharedDistanceOracle(t, &ctx).ok());
+  ctx.set_deadline_after_millis(-1.0);
+  ClusterGreedyAnonymizer algo;
+  const AnonymizationResult result = algo.Run(t, 3, &ctx);
+  EXPECT_TRUE(result.partition.groups.empty());
+  EXPECT_EQ(result.termination, StopReason::kDeadline);
 }
 
 TEST(RandomPartitionTest, ValidAndDeterministic) {

@@ -16,8 +16,9 @@
 /// \file
 /// The resilient chain's contract: it ALWAYS returns a valid k-anonymous
 /// partition, including on the adversarial instances the Theorem 3.1
-/// reduction generates — where the exact solver, given a tiny deadline,
-/// cannot finish and a later stage must take over.
+/// reduction generates — where the exact search, given a tiny deadline,
+/// cannot finish and answers from its seeded incumbent or leaves the
+/// answer to a later stage.
 
 namespace kanon {
 namespace {
@@ -41,7 +42,7 @@ TEST(FallbackTest, SmallInstanceReturnsExactOptimumCompleted) {
 
   EXPECT_EQ(result.termination, StopReason::kNone);
   EXPECT_TRUE(result.completed());
-  EXPECT_EQ(result.stage, "exact_dp");
+  EXPECT_EQ(result.stage, "branch_bound");
   ASSERT_TRUE(IsValidPartition(result.partition, v.num_rows(), k,
                                v.num_rows()));
 
@@ -51,8 +52,8 @@ TEST(FallbackTest, SmallInstanceReturnsExactOptimumCompleted) {
 }
 
 TEST(FallbackTest, HardInstanceWithTinyDeadlineDegradesButStaysValid) {
-  // n = 21 rows: inside exact_dp's structural cap (so the chain really
-  // attempts the 2^21-state DP) but far beyond what 50 ms allows.
+  // n = 21 rows: inside branch_bound's 28-row cap (so the chain really
+  // runs the search) but far beyond what its 25 ms slice allows.
   const Table v = HardInstance(/*vertices=*/21, /*extra_edges=*/6,
                                /*seed=*/7);
   const size_t k = 3;
@@ -64,11 +65,14 @@ TEST(FallbackTest, HardInstanceWithTinyDeadlineDegradesButStaysValid) {
   const AnonymizationResult result = resilient.Run(v, k, &ctx);
   const double elapsed_ms = timer.Seconds() * 1e3;
 
-  // A later stage produced the answer; the stop reason is recorded.
-  EXPECT_NE(result.termination, StopReason::kNone);
+  // The deadline stopped the search: branch_bound answers with its
+  // incumbent, or a later stage does if the seed itself ran out of time.
+  EXPECT_EQ(result.termination, StopReason::kDeadline);
   EXPECT_FALSE(result.completed());
-  EXPECT_NE(result.stage, "exact_dp");
-  EXPECT_FALSE(result.stage.empty());
+  EXPECT_TRUE(result.stage == "branch_bound" ||
+              result.stage == "cluster_greedy+local_search" ||
+              result.stage == "suppress_all")
+      << result.stage;
   EXPECT_NE(result.notes.find("chain="), std::string::npos);
 
   // ... and it is still a genuine k-anonymization.
@@ -101,9 +105,8 @@ TEST(FallbackTest, ExpiredDeadlineStillYieldsSuppressAll) {
 TEST(FallbackTest, ZeroDeadlineStillYieldsValidPartitionViaSuppressAll) {
   // Deadline of exactly zero: every stage's slice of the remaining time
   // is already spent, so only the unconditionally-feasible terminal
-  // stage can answer — and it must. (35 rows keeps the anytime
-  // branch_bound above its structural cap; below it, its bootstrap
-  // incumbent would answer even with no time left.)
+  // stage can answer — and it must. (Below its structural cap,
+  // branch_bound would decline too: its distance-oracle build stops.)
   Rng rng(11);
   const Table t = UniformTable(
       {.num_rows = 35, .num_columns = 4, .alphabet = 3}, &rng);
@@ -169,8 +172,8 @@ TEST(FallbackTest, CancellationPropagatesThroughChain) {
 }
 
 TEST(FallbackTest, MediumInstanceFallsThroughToGreedyCover) {
-  // 40 rows exceeds exact_dp (22) and branch_bound (28) caps; on a
-  // lenient chain context both decline and greedy_cover answers.
+  // 40 rows exceeds branch_bound's 28-row cap; on a lenient chain
+  // context it declines and the seed heuristic answers by itself.
   Rng rng(5);
   const Table t = UniformTable(
       {.num_rows = 40, .num_columns = 6, .alphabet = 4}, &rng);
@@ -180,10 +183,59 @@ TEST(FallbackTest, MediumInstanceFallsThroughToGreedyCover) {
   RunContext ctx;
   const AnonymizationResult result = resilient.Run(t, k, &ctx);
 
-  EXPECT_EQ(result.stage, "greedy_cover");
+  EXPECT_EQ(result.stage, "cluster_greedy+local_search");
   EXPECT_EQ(result.termination, StopReason::kBudget);  // declines latched
   EXPECT_TRUE(IsValidPartition(result.partition, t.num_rows(), k,
                                t.num_rows()));
+}
+
+TEST(FallbackTest, NeverCostlierThanClusterGreedyLocalSearch) {
+  // Up to 28 rows branch_bound answers from the heuristic's seed, and
+  // above that the heuristic answers itself, so under the same node
+  // budget the chain is never costlier than cluster_greedy+local_search.
+  Rng rng(21);
+  FallbackAnonymizer resilient;
+  const auto heuristic = MakeAnonymizer("cluster_greedy+local_search");
+  for (const uint32_t n : {8u, 16u, 24u, 28u, 29u, 40u, 64u, 128u}) {
+    for (const size_t k : {2u, 3u}) {
+      for (int trial = 0; trial < 8; ++trial) {
+        const Table t = UniformTable(
+            {.num_rows = n, .num_columns = 3, .alphabet = 4}, &rng);
+        RunContext chain_ctx;
+        chain_ctx.set_node_budget(2000);
+        RunContext heuristic_ctx;
+        heuristic_ctx.set_node_budget(2000);
+        EXPECT_LE(resilient.Run(t, k, &chain_ctx).cost,
+                  heuristic->Run(t, k, &heuristic_ctx).cost)
+            << "n=" << n << " k=" << k << " trial=" << trial;
+      }
+    }
+  }
+}
+
+TEST(FallbackTest, LargeTableDeadlineAnswersFromSuppressAllInTime) {
+  // 4096 rows: branch_bound declines at once, and the heuristic's
+  // O(n^2 m) greedy scans take far longer than its 25 ms slice, so it
+  // must notice the deadline and leave the answer to suppress_all.
+  Rng rng(13);
+  const Table t = UniformTable(
+      {.num_rows = 4096, .num_columns = 8, .alphabet = 4}, &rng);
+  const size_t k = 5;
+
+  FallbackAnonymizer resilient;
+  RunContext ctx;
+  ctx.set_deadline_after_millis(50.0);
+  WallTimer timer;
+  const AnonymizationResult result = resilient.Run(t, k, &ctx);
+  const double elapsed_ms = timer.Seconds() * 1e3;
+
+  EXPECT_EQ(result.stage, "suppress_all");
+  // The heuristic's deadline stop outranks branch_bound's structural
+  // decline, so the answer is not reported as a structural one.
+  EXPECT_EQ(result.termination, StopReason::kDeadline);
+  EXPECT_TRUE(IsValidPartition(result.partition, t.num_rows(), k,
+                               t.num_rows()));
+  EXPECT_LT(elapsed_ms, 4 * 50.0);
 }
 
 TEST(FallbackTest, RegistryExposesResilient) {

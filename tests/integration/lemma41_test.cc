@@ -78,14 +78,17 @@ size_t MinDiameterSum(const Table& table, size_t k) {
   return best;
 }
 
+// gtest names each case by the struct's raw bytes, so it must have no
+// padding for the names to be stable.
 struct LemmaCase {
   uint64_t seed;
   uint32_t n;
   uint32_t m;
-  uint32_t alphabet;
-  size_t k;
-  bool clustered;
+  uint64_t alphabet;
+  uint64_t k;
+  uint64_t clustered;  // 0 or 1
 };
+static_assert(sizeof(LemmaCase) == 5 * sizeof(uint64_t));
 
 class Lemma41ExactTest : public ::testing::TestWithParam<LemmaCase> {};
 
@@ -97,7 +100,7 @@ TEST_P(Lemma41ExactTest, SandwichHoldsAgainstTrueOptima) {
       ClusteredTableOptions opt;
       opt.num_rows = c.n;
       opt.num_columns = c.m;
-      opt.alphabet = c.alphabet;
+      opt.alphabet = static_cast<uint32_t>(c.alphabet);
       opt.num_clusters = 3;
       opt.noise_flips = 1;
       return ClusteredTable(opt, &rng);
@@ -105,7 +108,7 @@ TEST_P(Lemma41ExactTest, SandwichHoldsAgainstTrueOptima) {
     UniformTableOptions opt;
     opt.num_rows = c.n;
     opt.num_columns = c.m;
-    opt.alphabet = c.alphabet;
+    opt.alphabet = static_cast<uint32_t>(c.alphabet);
     return UniformTable(opt, &rng);
   }();
 

@@ -178,9 +178,10 @@ TEST(WorkerPoolTest, DeadlineArtifactsAreNotCachedStructuralOnesAre) {
   ResultCache cache(8);
   WorkerPool pool(&queue, &cache, {.workers = 1});
 
-  // 35 rows: above the exact_dp (22) and branch_bound (28) structural
-  // caps, so an unlimited run deterministically degrades to
-  // greedy_cover while an expired one degrades to suppress_all.
+  // 35 rows: above branch_bound's 28-row structural cap, so an
+  // unlimited run deterministically degrades to
+  // cluster_greedy+local_search while an expired one degrades to
+  // suppress_all.
   AnonymizeRequest request = RequestFor(SmallTable(3, 35), 3);
   request.deadline_ms = 0.001;  // expired on arrival
   ServiceError error = ServiceError::kNone;
@@ -193,13 +194,13 @@ TEST(WorkerPoolTest, DeadlineArtifactsAreNotCachedStructuralOnesAre) {
   EXPECT_EQ(cache.stats().size, 0u);
 
   // ... so an unlimited repeat re-solves (miss) and gets the better
-  // greedy_cover answer; its structural degradation IS deterministic
-  // for this instance and is cached.
+  // heuristic answer; its structural degradation IS deterministic for
+  // this instance and is cached.
   const AnonymizeResponse fresh =
       queue.Submit(RequestFor(SmallTable(3, 35), 3), &error)->result.get();
   ASSERT_TRUE(fresh.ok());
   EXPECT_FALSE(fresh.cache_hit);
-  EXPECT_EQ(fresh.stage, "greedy_cover");
+  EXPECT_EQ(fresh.stage, "cluster_greedy+local_search");
   EXPECT_EQ(fresh.termination, StopReason::kBudget);  // declines latched
   EXPECT_LE(fresh.cost, degraded.cost);
   EXPECT_EQ(cache.stats().size, 1u);
@@ -208,9 +209,69 @@ TEST(WorkerPoolTest, DeadlineArtifactsAreNotCachedStructuralOnesAre) {
       queue.Submit(RequestFor(SmallTable(3, 35), 3), &error)->result.get();
   ASSERT_TRUE(replay.ok());
   EXPECT_TRUE(replay.cache_hit);
-  EXPECT_EQ(replay.stage, "greedy_cover");
+  EXPECT_EQ(replay.stage, "cluster_greedy+local_search");
   EXPECT_EQ(replay.termination, StopReason::kBudget);
   EXPECT_EQ(replay.cost, fresh.cost);
+}
+
+TEST(WorkerPoolTest, HeuristicCutByItsDeadlineSliceIsNotCached) {
+  JobQueue queue(8);
+  ResultCache cache(8);
+  WorkerPool pool(&queue, &cache, {.workers = 1});
+
+  // 1024x8: branch_bound declines structurally (a budget latch), then
+  // the heuristic's O(n^2 m) scans outrun their half of the 50 ms
+  // deadline although the job's own deadline has not tripped yet. The
+  // answer is this request's artifact, reported as such.
+  const auto large = [] {
+    Rng rng(17);
+    return UniformTable(
+        {.num_rows = 1024, .num_columns = 8, .alphabet = 4}, &rng);
+  };
+  AnonymizeRequest request = RequestFor(large(), 5);
+  request.deadline_ms = 50.0;
+  ServiceError error = ServiceError::kNone;
+  const AnonymizeResponse cut =
+      queue.Submit(std::move(request), &error)->result.get();
+  ASSERT_TRUE(cut.ok());
+  EXPECT_EQ(cut.termination, StopReason::kDeadline) << cut.chain;
+  EXPECT_EQ(cache.stats().size, 0u);
+
+  // A repeat without a deadline misses and gets the heuristic's answer.
+  const AnonymizeResponse fresh =
+      queue.Submit(RequestFor(large(), 5), &error)->result.get();
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_FALSE(fresh.cache_hit);
+  EXPECT_EQ(fresh.stage, "cluster_greedy+local_search");
+  EXPECT_EQ(fresh.termination, StopReason::kBudget);
+  EXPECT_LE(fresh.cost, cut.cost);
+}
+
+TEST(WorkerPoolTest, BreakerSkippedAnswersAreNotCached) {
+  JobQueue queue(8);
+  ResultCache cache(8);
+  WorkerPool pool(&queue, &cache,
+                  {.workers = 1,
+                   .breaker = {.failure_threshold = 1, .open_ms = 1e9}});
+
+  // A 35-row table: branch_bound's structural decline opens its
+  // breaker; the heuristic's answer is structural and cached.
+  ServiceError error = ServiceError::kNone;
+  const AnonymizeResponse large =
+      queue.Submit(RequestFor(SmallTable(3, 35), 3), &error)->result.get();
+  ASSERT_TRUE(large.ok());
+  EXPECT_EQ(large.stage, "cluster_greedy+local_search");
+  EXPECT_EQ(cache.stats().size, 1u);
+
+  // A 20-row table now skips branch_bound, so the heuristic answers a
+  // table branch_bound would have solved: not an answer to replay.
+  const AnonymizeResponse skipped =
+      queue.Submit(RequestFor(SmallTable(4, 20), 3), &error)->result.get();
+  ASSERT_TRUE(skipped.ok());
+  EXPECT_EQ(skipped.chain.rfind("branch_bound(skipped:breaker)", 0), 0u)
+      << skipped.chain;
+  EXPECT_EQ(skipped.stage, "cluster_greedy+local_search");
+  EXPECT_EQ(cache.stats().size, 1u);
 }
 
 TEST(WorkerPoolTest, FourRequestsInFlightOnFourWorkers) {
@@ -218,13 +279,13 @@ TEST(WorkerPoolTest, FourRequestsInFlightOnFourWorkers) {
   ResultCache cache(8);
   WorkerPool pool(&queue, &cache, {.workers = 4});
 
-  // Four Theorem 3.1 instances with no deadline: each occupies its
-  // worker in the exact_dp stage until cancelled.
+  // Four Theorem 3.1 instances sent to exact_dp with no deadline: each
+  // occupies its worker until cancelled.
   ServiceError error = ServiceError::kNone;
   std::vector<JobQueue::Ticket> tickets;
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     StatusOr<JobQueue::Ticket> ticket =
-        queue.Submit(RequestFor(HardTable(seed), 3), &error);
+        queue.Submit(RequestFor(HardTable(seed), 3, "exact_dp"), &error);
     ASSERT_TRUE(ticket.ok());
     tickets.push_back(*std::move(ticket));
   }
@@ -238,7 +299,7 @@ TEST(WorkerPoolTest, FourRequestsInFlightOnFourWorkers) {
   EXPECT_EQ(queue.metrics().Get(Counter::kCompleted), 0u);
 
   // Per-request cancellation reaches the running jobs' RunContexts; the
-  // resilient chain still answers each with a valid partition — unless
+  // chain still answers each with a valid partition — unless
   // the cancel won the pop-to-run-start race, where the worker answers
   // with the typed cancellation instead (see cancel_race_test).
   for (const JobQueue::Ticket& ticket : tickets) {
@@ -251,10 +312,7 @@ TEST(WorkerPoolTest, FourRequestsInFlightOnFourWorkers) {
       continue;
     }
     EXPECT_EQ(response.termination, StopReason::kCancelled);
-    // The 21-row instance is under branch_bound's cap, so the anytime
-    // stage may still answer with its incumbent; either way the chain
-    // produced something valid.
-    EXPECT_FALSE(response.stage.empty());
+    EXPECT_EQ(response.stage, "suppress_all");
     const StatusOr<Table> anonymized =
         ParseTableCsv(response.anonymized_csv);
     ASSERT_TRUE(anonymized.ok());
