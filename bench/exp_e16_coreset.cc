@@ -6,8 +6,8 @@
 // groups trades a bounded cost gap for orders-of-magnitude less solver
 // work. We sweep the sample rate at a direct-solvable n, report the
 // suppression-cost gap coreset/direct per rate, and (optionally) prove
-// the pipeline end-to-end at n in the millions under a fixed transient
-// memory budget — a scale where the direct solver is not even attempted.
+// the pipeline end-to-end at n in the millions — a scale where the
+// direct solver is not even attempted.
 //
 // The JSON written to --out is the CI gate input: `default_gap` must
 // stay under the quality threshold at n = 2048.
@@ -90,13 +90,12 @@ Table ShapeTable(const std::string& shape, size_t n, uint64_t seed) {
 
 AnonymizationResult RunCoreset(const Table& table, size_t k,
                                const std::string& inner, double rate,
-                               uint64_t seed, size_t memory_limit) {
+                               uint64_t seed) {
   CoresetOptions options;
   options.sample_rate = rate;
   options.seed = seed;
   CoresetAnonymizer algo(MakeAnonymizer(inner), options);
   RunContext ctx;
-  if (memory_limit > 0) ctx.set_memory_limit_bytes(memory_limit);
   return algo.Run(table, k, &ctx);
 }
 
@@ -108,8 +107,6 @@ int Main(int argc, char** argv) {
   const std::string inner = cl.GetString("inner", "mdav");
   const std::string out = cl.GetString("out", "");
   const size_t big_rows = static_cast<size_t>(cl.GetInt("big_rows", 0));
-  const size_t big_mem_mb =
-      static_cast<size_t>(cl.GetInt("big_mem_mb", 256));
 
   bench::PrintBanner(
       "E16 (coreset fidelity): weighted coreset vs direct solve",
@@ -141,7 +138,7 @@ int Main(int argc, char** argv) {
   for (const double rate :
        {0.05, 0.10, kDefaultCoresetRate, 0.25, 0.50}) {
     const AnonymizationResult run =
-        RunCoreset(table, k, inner, rate, seed, 0);
+        RunCoreset(table, k, inner, rate, seed);
     const bool valid =
         run.completed() &&
         IsValidPartition(run.partition, static_cast<RowId>(n), k, n);
@@ -188,7 +185,7 @@ int Main(int argc, char** argv) {
     const size_t rows = shaped.num_rows();
     const AnonymizationResult shape_base = direct->Run(shaped, k);
     const AnonymizationResult shape_run =
-        RunCoreset(shaped, k, inner, /*rate=*/0.0, seed, 0);
+        RunCoreset(shaped, k, inner, /*rate=*/0.0, seed);
     ShapePoint point;
     point.shape = shape;
     point.rows = rows;
@@ -213,8 +210,8 @@ int Main(int argc, char** argv) {
   }
   shape_report.Print();
 
-  // Optional feasibility leg: n in the millions, fixed transient-memory
-  // budget, validity asserted on the full-table partition.
+  // Optional feasibility leg: n in the millions, validity asserted on the
+  // full-table partition.
   size_t big_cost = 0;
   double big_seconds = 0.0;
   bool big_valid = false;
@@ -224,8 +221,8 @@ int Main(int argc, char** argv) {
     big_gen.num_rows = big_rows;
     big_gen.seed = seed + 1;
     const Table big = SyntheticTable(big_gen);
-    const AnonymizationResult run = RunCoreset(
-        big, k, inner, /*rate=*/0.0, seed, big_mem_mb << 20);
+    const AnonymizationResult run =
+        RunCoreset(big, k, inner, /*rate=*/0.0, seed);
     big_valid = run.completed() &&
                 IsValidPartition(run.partition,
                                  static_cast<RowId>(big_rows), k,

@@ -162,18 +162,9 @@ AnonymizationResult BallCoverAnonymizer::Run(const Table& table, size_t k,
   KANON_CHECK_GE(static_cast<size_t>(n), k);
 
   WallTimer timer;
-  // The per-center sorted orders, distances and prefix diameters are the
-  // O(n^2) footprint; account them before building.
-  const size_t family_bytes =
-      static_cast<size_t>(n) * n * (sizeof(RowId) + 2 * sizeof(ColId));
-  if (!ctx->TryChargeMemory(family_bytes)) {
-    return StoppedResult(*ctx, timer.Seconds(),
-                         "declined: ball family exceeds memory limit");
-  }
   const StatusOr<std::shared_ptr<const DistanceOracle>> oracle =
       SharedDistanceOracle(table, ctx);
   if (!oracle.ok()) {
-    ctx->ReleaseMemory(family_bytes);
     return StoppedResult(*ctx, timer.Seconds(),
                          "declined: " + oracle.status().message());
   }
@@ -181,7 +172,6 @@ AnonymizationResult BallCoverAnonymizer::Run(const Table& table, size_t k,
   const BallFamily family(table, dm, k, options_.family_mode,
                           options_.weight_mode, ctx);
   if (ctx->ShouldStop()) {
-    ctx->ReleaseMemory(family_bytes);
     return StoppedResult(*ctx, timer.Seconds(),
                          "stopped while building ball family");
   }
@@ -192,7 +182,6 @@ AnonymizationResult BallCoverAnonymizer::Run(const Table& table, size_t k,
   if (!cover_result.complete) {
     KANON_CHECK(ctx->stop_reason() != StopReason::kNone)
         << "ball family always covers the universe";
-    ctx->ReleaseMemory(family_bytes);
     return StoppedResult(*ctx, timer.Seconds(),
                          "stopped during greedy cover");
   }
@@ -220,7 +209,6 @@ AnonymizationResult BallCoverAnonymizer::Run(const Table& table, size_t k,
         << " cover_sets=" << cover_result.chosen.size()
         << " cover_weight=" << cover_result.total_weight;
   result.notes = notes.str();
-  ctx->ReleaseMemory(family_bytes);
   return result;
 }
 

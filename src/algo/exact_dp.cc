@@ -82,19 +82,11 @@ AnonymizationResult ExactDpAnonymizer::Run(const Table& table, size_t k,
   const size_t group_max = std::min<size_t>(2 * k - 1, n);
   const uint32_t full = (n == 32) ? 0xffffffffu : ((1u << n) - 1u);
 
-  // The dp/choice tables dominate the footprint; account them up front
-  // so a memory-limited context declines instead of thrashing. An
-  // injected allocation failure takes the same decline path.
-  const size_t table_bytes =
-      (static_cast<size_t>(full) + 1) * (sizeof(size_t) + sizeof(uint32_t));
+  // An injected allocation failure declines typed, like max_rows.
   if (KANON_FAULT_POINT("exact_dp.alloc")) {
     ctx->MarkStopped(StopReason::kBudget);
     return StoppedResult(*ctx, timer.Seconds(),
                          "declined: injected allocation failure");
-  }
-  if (!ctx->TryChargeMemory(table_bytes)) {
-    return StoppedResult(*ctx, timer.Seconds(),
-                         "declined: dp tables exceed memory limit");
   }
 
   // Precompute ANON for every candidate group mask (|S| in [k, 2k-1]).
@@ -121,7 +113,6 @@ AnonymizationResult ExactDpAnonymizer::Run(const Table& table, size_t k,
     }
   }
   if (stopped) {
-    ctx->ReleaseMemory(table_bytes);
     return StoppedResult(*ctx, timer.Seconds(),
                          "stopped during candidate-group precompute");
   }
@@ -174,7 +165,6 @@ AnonymizationResult ExactDpAnonymizer::Run(const Table& table, size_t k,
     if (mask == full) break;
   }
   if (stopped) {
-    ctx->ReleaseMemory(table_bytes);
     return StoppedResult(*ctx, timer.Seconds(), "stopped during dp sweep");
   }
   KANON_CHECK_NE(dp[full], kInf);
@@ -200,7 +190,6 @@ AnonymizationResult ExactDpAnonymizer::Run(const Table& table, size_t k,
   notes << "states=" << (static_cast<size_t>(full) + 1)
         << " candidate_groups=" << group_cost.size();
   result.notes = notes.str();
-  ctx->ReleaseMemory(table_bytes);
   return result;
 }
 

@@ -77,9 +77,6 @@ AnonymizationResult FallbackAnonymizer::Run(const Table& table, size_t k,
       child.set_node_budget(
           ctx->node_budget() > used ? ctx->node_budget() - used : 1);
     }
-    if (ctx->memory_limit_bytes() > 0) {
-      child.set_memory_limit_bytes(ctx->memory_limit_bytes());
-    }
 
     AnonymizationResult attempt = stages_[i]->Run(table, k, &child);
     ctx->ChargeNodes(child.nodes_charged());
@@ -88,7 +85,11 @@ AnonymizationResult FallbackAnonymizer::Run(const Table& table, size_t k,
     const bool valid =
         !attempt.partition.groups.empty() &&
         IsValidPartition(attempt.partition, n, k, n);
-    if (!last && options_.gate != nullptr && !caller_stopped) {
+    // A kBudget stop is a structural decline or the request's own node
+    // budget: it spends none of the stage's deadline slice and says
+    // nothing about the stage's health, so it is no breaker failure.
+    if (!last && options_.gate != nullptr && !caller_stopped &&
+        (valid || child.stop_reason() != StopReason::kBudget)) {
       options_.gate->Record(stages_[i]->name(), valid);
     }
     if (i > 0) chain << "->";

@@ -32,7 +32,9 @@ namespace kanon {
 /// layer's circuit breakers plug into. Allow() is asked before a
 /// non-final stage runs (false = skip it, recorded as
 /// `name(skipped:breaker)` in the chain); Record() reports whether the
-/// stage produced a valid partition. The terminal stage is never gated.
+/// stage produced a valid partition. A stage that produced none because
+/// it stopped on kBudget (a structural decline or the node budget) is
+/// not recorded. The terminal stage is never gated.
 /// Implementations must be thread-safe: one gate is shared by all
 /// workers.
 class StageGate {

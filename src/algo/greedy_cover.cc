@@ -89,24 +89,16 @@ AnonymizationResult GreedyCoverAnonymizer::Run(const Table& table,
     return StoppedResult(*ctx, timer.Seconds(),
                          "declined: family C exceeds max_family_size");
   }
-  // Rough per-set footprint: the member list plus its weight. An
-  // injected allocation failure declines exactly like a memory cap.
-  const size_t family_bytes =
-      family_size * (2 * k * sizeof(uint32_t) + sizeof(double));
+  // An injected allocation failure declines typed, like the size cap.
   if (KANON_FAULT_POINT("greedy_cover.alloc")) {
     ctx->MarkStopped(StopReason::kBudget);
     return StoppedResult(*ctx, timer.Seconds(),
                          "declined: injected allocation failure");
   }
-  if (!ctx->TryChargeMemory(family_bytes)) {
-    return StoppedResult(*ctx, timer.Seconds(),
-                         "declined: family C exceeds memory limit");
-  }
 
   const StatusOr<std::shared_ptr<const DistanceOracle>> oracle =
       SharedDistanceOracle(table, ctx);
   if (!oracle.ok()) {
-    ctx->ReleaseMemory(family_bytes);
     return StoppedResult(*ctx, timer.Seconds(),
                          "declined: " + oracle.status().message());
   }
@@ -135,7 +127,6 @@ AnonymizationResult GreedyCoverAnonymizer::Run(const Table& table,
     });
   }
   if (stopped) {
-    ctx->ReleaseMemory(family_bytes);
     return StoppedResult(*ctx, timer.Seconds(),
                          "stopped while materializing family C");
   }
@@ -146,7 +137,6 @@ AnonymizationResult GreedyCoverAnonymizer::Run(const Table& table,
   if (!cover_result.complete) {
     KANON_CHECK(ctx->stop_reason() != StopReason::kNone)
         << "family C always covers the universe";
-    ctx->ReleaseMemory(family_bytes);
     return StoppedResult(*ctx, timer.Seconds(),
                          "stopped during greedy cover");
   }
@@ -169,7 +159,6 @@ AnonymizationResult GreedyCoverAnonymizer::Run(const Table& table,
         << " cover_sets=" << cover_result.chosen.size()
         << " cover_weight=" << cover_result.total_weight;
   result.notes = notes.str();
-  ctx->ReleaseMemory(family_bytes);
   return result;
 }
 

@@ -88,14 +88,6 @@ StatusOr<ShardPlan> PlanShards(const Table& table, size_t k,
   ShardPlan plan;
   plan.shards.reserve(target);
 
-  // The working set (one row-id vector per shard) is the planner's only
-  // superlinear transient: account it like the DistanceOracle does.
-  const size_t scratch_bytes = n * sizeof(RowId);
-  if (!ctx->TryChargeMemory(scratch_bytes)) {
-    return Status::ResourceExhausted(
-        "shard planner row scratch exceeds memory limit");
-  }
-
   Group all(n);
   for (RowId r = 0; r < static_cast<RowId>(n); ++r) all[r] = r;
   plan.shards.push_back(std::move(all));
@@ -107,10 +99,7 @@ StatusOr<ShardPlan> PlanShards(const Table& table, size_t k,
   // shard per iteration and runs at most target-1 times.
   while (plan.shards.size() < target) {
     ctx->ChargeNodes();
-    if (ctx->ShouldStop()) {
-      ctx->ReleaseMemory(scratch_bytes);
-      return StopReasonToStatus(ctx->stop_reason());
-    }
+    if (ctx->ShouldStop()) return StopReasonToStatus(ctx->stop_reason());
     // Largest shard, ties -> lowest index (deterministic).
     size_t victim = 0;
     for (size_t i = 1; i < plan.shards.size(); ++i) {
@@ -148,7 +137,6 @@ StatusOr<ShardPlan> PlanShards(const Table& table, size_t k,
               return a.front() < b.front();
             });
   ctx->ChargeNodes(n);
-  ctx->ReleaseMemory(scratch_bytes);
   return plan;
 }
 

@@ -72,8 +72,7 @@ struct ShardPlan {
 size_t ResolveShardCount(size_t n, size_t k, const ShardOptions& options);
 
 /// Plans the cut. Typed failures: kCancelled/kDeadlineExceeded/
-/// kResourceExhausted when `ctx` stops (the scratch row-order array is
-/// charged against the memory budget), kInvalidArgument on an empty
+/// kResourceExhausted when `ctx` stops, kInvalidArgument on an empty
 /// table or k > n. Fault site `shard.plan` fires a typed budget
 /// decline.
 StatusOr<ShardPlan> PlanShards(const Table& table, size_t k,

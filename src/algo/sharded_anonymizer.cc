@@ -182,22 +182,16 @@ AnonymizationResult ShardedAnonymizer::Run(const Table& table, size_t k,
     }
   }
 
-  // Fixed per-shard budget slices, computed once so the split is
+  // Fixed per-shard node slices, computed once so the split is
   // independent of solve order: every shard gets an equal share of the
-  // node budget left after planning and of the memory ceiling. Unspent
-  // slices return to the parent via back-charging (nodes) and
-  // ScopedMemoryBudget's destructor (memory).
+  // node budget left after planning, and what it spends is charged back
+  // to the parent.
   uint64_t node_slice = 0;
   if (ctx->node_budget() > 0) {
     const uint64_t used = ctx->nodes_charged();
     const uint64_t left =
         ctx->node_budget() > used ? ctx->node_budget() - used : 1;
     node_slice = std::max<uint64_t>(1, left / num_shards);
-  }
-  size_t mem_slice = 0;
-  if (ctx->memory_limit_bytes() > 0) {
-    mem_slice =
-        std::max<size_t>(1, ctx->memory_limit_bytes() / num_shards);
   }
 
   std::atomic<size_t> next{0};
@@ -227,13 +221,6 @@ AnonymizationResult ShardedAnonymizer::Run(const Table& table, size_t k,
       child.set_deadline_after_millis(ctx->remaining_millis() * 0.7);
     }
     if (node_slice > 0) child.set_node_budget(node_slice);
-    ScopedMemoryBudget mem(ctx, &child, mem_slice);
-    if (!mem.ok()) {
-      shard_stop[i] = StopReason::kBudget;
-      failed.store(true, std::memory_order_relaxed);
-      ctx->Count(Counter::kShardDeclines);
-      return;
-    }
     std::unique_ptr<Anonymizer> inner = factory_();
     AnonymizationResult r = inner->Run(shard_table, k, &child);
     ctx->ChargeNodes(child.nodes_charged());

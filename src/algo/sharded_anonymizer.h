@@ -19,9 +19,8 @@
 ///      the identical cut);
 ///   2. **solve** — a fresh inner instance runs on each shard's
 ///      SelectRows view under a lenient child RunContext carrying a
-///      deadline slice, an equal share of the node budget, and a
-///      ScopedMemoryBudget slice of the memory ceiling. Shards solve
-///      concurrently on up to `shard_parallelism` threads, bounded by a
+///      deadline slice and an equal share of the node budget. Shards
+///      solve concurrently on up to `shard_parallelism` threads, bounded by a
 ///      process-wide token pool so stacked jobs (a worker pool running
 ///      several sharded jobs) never oversubscribe the machine; results
 ///      are indexed by shard, so the outcome is independent of thread

@@ -73,7 +73,6 @@ void CheckGovernorReplay(uint64_t seed, const Leg& leg) {
     GovernorSignals signals;
     signals.queue_delay_ms = delay_ms;
     signals.open_breakers = rng.Bernoulli(0.1) ? rng.UniformInt(1, 3) : 0;
-    signals.memory_latched = rng.Bernoulli(0.03);
 
     const BrownoutLevel level_a = first.Update(signals);
     const BrownoutLevel level_b = second.Update(signals);
@@ -285,10 +284,6 @@ void CheckForcedOverload(const ChaosOptions& options, const Leg& leg) {
   overload_options.governor.yellow_delay_ms = 1e12;
   overload_options.governor.red_delay_ms = 1e12;
   overload_options.governor.open_breakers_yellow = 0;
-  // Budget-tripped jobs would latch organic red pressure (and climb
-  // the ladder without a fault fire); keep the latch off so the
-  // rewrite count reconciles exactly against the forced schedule.
-  overload_options.memory_latch_updates = 0;
   overload_options.retry_budget.ratio = 0.0;
   overload_options.retry_budget.initial = initial_retry_tokens;
   OverloadControl overload(overload_options);

@@ -13,7 +13,7 @@
 ///
 /// Solvers that probe many pairs go through the `DistanceOracle`
 /// (core/distance_oracle.h), which holds the all-pairs table for small
-/// instances and accounts its memory against the run's budget.
+/// instances.
 
 namespace kanon {
 

@@ -74,13 +74,6 @@ StatusOr<std::unique_ptr<DistanceOracle>> DistanceOracle::Create(
     return Status::ResourceExhausted(
         "distance table: n^2 cell count overflows");
   }
-  if (ctx != nullptr && !ctx->TryChargeMemory(bytes)) {
-    return Status::ResourceExhausted(
-        "distance table exceeds the run's memory budget");
-  }
-  // From here on the destructor releases the charge, on every path.
-  oracle->lease_ctx_ = ctx;
-  oracle->lease_bytes_ = bytes;
   try {
     oracle->dist_.resize(cells, 0);
   } catch (const std::bad_alloc&) {
@@ -95,10 +88,6 @@ StatusOr<std::unique_ptr<DistanceOracle>> DistanceOracle::Create(
     return StopReasonToStatus(ctx->stop_reason());
   }
   return oracle;
-}
-
-DistanceOracle::~DistanceOracle() {
-  if (lease_ctx_ != nullptr) lease_ctx_->ReleaseMemory(lease_bytes_);
 }
 
 ColId DistanceOracle::Diameter(std::span<const RowId> rows) const {

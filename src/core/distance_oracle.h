@@ -22,11 +22,10 @@
 ///     filled once row strip by row strip from the columnar mirror
 ///     (`PackedTable`): row a is the sum over columns c of
 ///     [column_c[b] != column_c[a]], in a loop the compiler vectorizes,
-///     with rows spread over the worker pool. Lookups are O(1). The n^2
-///     bytes are charged against the RunContext memory budget, and
-///     failure comes back as a typed StatusOr — never bad_alloc. The
-///     fill is cancellation-aware and probes the `distance.build` fault
-///     site once per row;
+///     with rows spread over the worker pool. Lookups are O(1). A table
+///     that cannot be allocated comes back as a typed StatusOr — never
+///     bad_alloc. The fill is cancellation-aware and probes the
+///     `distance.build` fault site once per row;
 ///   * **on demand** (above the threshold, or more than 255 columns): no
 ///     table at all. Each lookup is `RowDistance`, O(m). Center scans
 ///     (mdav, cluster_greedy) read each row's distances once, so a cache
@@ -53,22 +52,19 @@ class DistanceOracle {
   /// can count is never dense.
   using Cell = uint8_t;
 
-  /// Builds an oracle for `table`. `ctx` may be null (no accounting or
-  /// cancellation). The dense branch fails with
-  ///   * kResourceExhausted when the n^2 table overflows, exceeds the
-  ///     ctx memory budget or cannot be allocated (ctx latches kBudget),
-  ///     or
+  /// Builds an oracle for `table`. `ctx` may be null (no cancellation).
+  /// The dense branch fails with
+  ///   * kResourceExhausted when the n^2 table overflows or cannot be
+  ///     allocated (ctx latches kBudget), or
   ///   * the ctx stop status when the fill observed a deadline or a
   ///     cancellation.
-  /// The oracle releases its charged bytes when destroyed, so `ctx` must
-  /// outlive it. The on-demand branch cannot fail.
+  /// The on-demand branch cannot fail.
   static StatusOr<std::unique_ptr<DistanceOracle>> Create(
       const Table& table, const DistanceOracleOptions& options,
       RunContext* ctx);
 
   DistanceOracle(const DistanceOracle&) = delete;
   DistanceOracle& operator=(const DistanceOracle&) = delete;
-  ~DistanceOracle();
 
   RowId num_rows() const { return n_; }
 
@@ -96,8 +92,6 @@ class DistanceOracle {
   const RowId n_;
   bool dense_ = false;
   std::vector<Cell> dist_;
-  RunContext* lease_ctx_ = nullptr;
-  size_t lease_bytes_ = 0;
 };
 
 /// The caller/RunContext-owned seam the solvers use. Returns the oracle
@@ -106,8 +100,7 @@ class DistanceOracle {
 /// the same context (or a child of it) shares one oracle instead of
 /// rebuilding the table. On failure the ctx is latched (kBudget, or the
 /// stop reason) and the status is returned, so callers can uniformly
-/// decline with StoppedResult. `ctx` must be non-null and must outlive
-/// all uses of the returned pointer.
+/// decline with StoppedResult. `ctx` must be non-null.
 StatusOr<std::shared_ptr<const DistanceOracle>> SharedDistanceOracle(
     const Table& table, RunContext* ctx,
     const DistanceOracleOptions& options = {});

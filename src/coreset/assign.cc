@@ -56,11 +56,6 @@ StatusOr<AssignmentOutcome> AssignToCoresetGroups(
                                         sample_partition.groups[i]);
   }
 
-  const size_t owner_bytes = n * sizeof(uint32_t);
-  if (!ctx->TryChargeMemory(owner_bytes)) {
-    return Status::ResourceExhausted(
-        "coreset assignment owner array exceeds memory limit");
-  }
   std::vector<uint32_t> owner(n);
   ParallelFor(
       0, n, 2048,
@@ -82,10 +77,7 @@ StatusOr<AssignmentOutcome> AssignToCoresetGroups(
       },
       ctx);
   ctx->ChargeNodes(n);
-  if (ctx->ShouldStop()) {
-    ctx->ReleaseMemory(owner_bytes);
-    return StopReasonToStatus(ctx->stop_reason());
-  }
+  if (ctx->ShouldStop()) return StopReasonToStatus(ctx->stop_reason());
 
   AssignmentOutcome outcome;
   outcome.partition.groups.assign(g, Group());
@@ -94,7 +86,6 @@ StatusOr<AssignmentOutcome> AssignToCoresetGroups(
   }
   owner.clear();
   owner.shrink_to_fit();
-  ctx->ReleaseMemory(owner_bytes);
 
   // Drop groups no full-table row chose (a sample row need not be
   // nearest to its own group's centroid), keeping centroids aligned.

@@ -44,8 +44,7 @@ struct AssignmentOutcome {
 /// partition of `sample_table`, which must be the weighted
 /// SelectRows(sample rows) view of `full`). Typed failures mirror the
 /// sampler: kCancelled/kDeadlineExceeded when `ctx` stops (fault site
-/// `coreset.assign` fires a deadline stop), kResourceExhausted when the
-/// owner array does not fit the memory budget, kInvalidArgument on
+/// `coreset.assign` fires a deadline stop), kInvalidArgument on
 /// structural mismatch (no groups, or k > n).
 StatusOr<AssignmentOutcome> AssignToCoresetGroups(
     const Table& full, const Table& sample_table,

@@ -165,9 +165,6 @@ AnonymizationResult CoresetAnonymizer::Run(const Table& table, size_t k,
       child.set_node_budget(
           ctx->node_budget() > used ? ctx->node_budget() - used : 1);
     }
-    if (ctx->memory_limit_bytes() > 0) {
-      child.set_memory_limit_bytes(ctx->memory_limit_bytes());
-    }
     AnonymizationResult inner_result = inner_->Run(sample_table, k, &child);
     ctx->ChargeNodes(child.nodes_charged());
     const bool valid =

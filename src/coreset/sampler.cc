@@ -23,19 +23,6 @@ uint32_t RowDistance(const Table& table, RowId r,
   return d;
 }
 
-/// RAII release of a TryChargeMemory charge.
-class MemoryLease {
- public:
-  MemoryLease(RunContext* ctx, size_t bytes) : ctx_(ctx), bytes_(bytes) {}
-  ~MemoryLease() { ctx_->ReleaseMemory(bytes_); }
-  MemoryLease(const MemoryLease&) = delete;
-  MemoryLease& operator=(const MemoryLease&) = delete;
-
- private:
-  RunContext* ctx_;
-  size_t bytes_;
-};
-
 /// Scales `real` to integer weights >= 1 summing to exactly `target`.
 /// Deterministic: remainder units go to the largest fractional parts
 /// (ties by index), deficit units are taken from the smallest fractional
@@ -99,16 +86,7 @@ std::vector<uint32_t> IntegerizeWeights(const std::vector<double>& real,
   return out;
 }
 
-StatusOr<CoresetSample> DrawUniform(const Table& table, size_t s,
-                                    Rng* rng, RunContext* ctx) {
-  const size_t n = table.num_rows();
-  // SampleWithoutReplacement builds an O(n) index pool.
-  const size_t pool_bytes = n * sizeof(uint32_t);
-  if (!ctx->TryChargeMemory(pool_bytes)) {
-    return Status::ResourceExhausted(
-        "coreset sampler scratch exceeds memory limit");
-  }
-  const MemoryLease lease(ctx, pool_bytes);
+CoresetSample DrawUniform(size_t n, size_t s, Rng* rng) {
   CoresetSample sample;
   sample.rows = rng->SampleWithoutReplacement(
       static_cast<uint32_t>(n), static_cast<uint32_t>(s));
@@ -126,13 +104,6 @@ StatusOr<CoresetSample> DrawSensitivity(const Table& table, size_t s,
                                         const CoresetOptions& options,
                                         Rng* rng, RunContext* ctx) {
   const size_t n = table.num_rows();
-  const size_t scratch_bytes =
-      n * (sizeof(uint32_t) + sizeof(double));  // dist + prefix sums
-  if (!ctx->TryChargeMemory(scratch_bytes)) {
-    return Status::ResourceExhausted(
-        "coreset sampler scratch exceeds memory limit");
-  }
-  const MemoryLease lease(ctx, scratch_bytes);
 
   // Farthest-point seeding: distance-to-nearest-center for every row.
   std::vector<uint32_t> dist(n);
@@ -274,7 +245,7 @@ StatusOr<CoresetSample> DrawCoresetSample(const Table& table, size_t k,
   Rng rng(options.seed, /*stream=*/0x1c0ULL);
   StatusOr<CoresetSample> result =
       options.strategy == CoresetStrategy::kUniform
-          ? DrawUniform(table, s, &rng, ctx)
+          ? DrawUniform(n, s, &rng)
           : DrawSensitivity(table, s, options, &rng, ctx);
   if (!result.ok()) return result;
   CoresetSample& sample = result.value();

@@ -27,11 +27,10 @@
 ///     dominate suppression cost are kept while dense regions collapse
 ///     onto few heavy representatives.
 ///
-/// Both are deterministic from `CoresetOptions::seed`, poll the
-/// RunContext for cancellation, and account their transient memory like
-/// the DistanceOracle (typed kResourceExhausted + kBudget latch, never
-/// bad_alloc). Integer weights always sum to exactly the full row count,
-/// so a weighted group cost is directly comparable to an unweighted one.
+/// Both are deterministic from `CoresetOptions::seed`, and the
+/// sensitivity draw polls the RunContext for cancellation. Integer
+/// weights always sum to exactly the full row count, so a weighted group
+/// cost is directly comparable to an unweighted one.
 
 namespace kanon {
 
@@ -80,10 +79,9 @@ struct CoresetSample {
 size_t ResolveSampleSize(size_t n, size_t k, const CoresetOptions& options);
 
 /// Draws the weighted sample. Typed failures: kCancelled/
-/// kDeadlineExceeded when `ctx` stops, kResourceExhausted when the
-/// score/selection scratch does not fit the memory budget (kBudget
-/// latched), kInvalidArgument on an empty table. Fault site
-/// `coreset.sample` fires a typed budget decline for chaos testing.
+/// kDeadlineExceeded when `ctx` stops, kInvalidArgument on an empty
+/// table. Fault site `coreset.sample` fires a typed budget decline for
+/// chaos testing.
 StatusOr<CoresetSample> DrawCoresetSample(const Table& table, size_t k,
                                           const CoresetOptions& options,
                                           RunContext* ctx);

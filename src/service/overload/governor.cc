@@ -56,8 +56,7 @@ HealthGovernor::HealthGovernor(GovernorOptions options)
 
 BrownoutLevel HealthGovernor::Pressure(const GovernorSignals& signals,
                                        const GovernorOptions& options) {
-  if (signals.memory_latched ||
-      signals.queue_delay_ms >= options.red_delay_ms) {
+  if (signals.queue_delay_ms >= options.red_delay_ms) {
     return BrownoutLevel::kRed;
   }
   if (signals.queue_delay_ms >= options.yellow_delay_ms ||

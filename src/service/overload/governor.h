@@ -14,13 +14,13 @@
 /// ladder of progressively cheaper approximations of the same objective
 /// (direct solve -> sharded solve -> coreset solve, with quality gaps
 /// bounded by E16/E17), so a saturated server can *degrade* instead of
-/// tail-dropping. The HealthGovernor watches queue delay, open circuit
-/// breakers and memory-budget latches, and walks a green -> yellow ->
-/// red ladder with hysteresis (escalate after `up_ticks` pressured
-/// observations, relax after `down_ticks` calm ones). At yellow,
-/// admissible jobs are rewritten to their sharded backend; at red, to
-/// their coreset backend — at a sampling rate that *halves* for every
-/// further `escalate_ticks` of sustained red pressure, down to a floor.
+/// tail-dropping. The HealthGovernor watches queue delay and open
+/// circuit breakers, and walks a green -> yellow -> red ladder with
+/// hysteresis (escalate after `up_ticks` pressured observations, relax
+/// after `down_ticks` calm ones). At yellow, admissible jobs are
+/// rewritten to their sharded backend; at red, to their coreset backend
+/// — at a sampling rate that *halves* for every further `escalate_ticks`
+/// of sustained red pressure, down to a floor.
 ///
 /// Everything is deterministic: Update() is a pure function of the
 /// signal sequence, Decide() a pure function of (state, job id,
@@ -60,8 +60,6 @@ struct GovernorOptions {
 struct GovernorSignals {
   double queue_delay_ms = 0.0;
   int open_breakers = 0;
-  /// A recent job latched its memory budget (kMemory termination).
-  bool memory_latched = false;
 };
 
 /// The governor's verdict for one job.

@@ -33,12 +33,6 @@ void OverloadControl::OnDequeue(double sojourn_ms, double now_ms,
   GovernorSignals signals;
   signals.queue_delay_ms = sojourn_ms;
   signals.open_breakers = open_breakers;
-  // Consume one tick of any standing memory latch.
-  int latch = memory_latch_.load(std::memory_order_relaxed);
-  while (latch > 0 && !memory_latch_.compare_exchange_weak(
-                          latch, latch - 1, std::memory_order_relaxed)) {
-  }
-  signals.memory_latched = latch > 0;
   governor_.Update(signals);
 }
 
@@ -67,13 +61,8 @@ bool OverloadControl::AllowRetry() { return retry_budget_.TryWithdraw(); }
 
 void OverloadControl::RecordOutcome(const std::string& backend,
                                     double run_ms, bool ok,
-                                    StopReason termination,
                                     bool cache_hit) {
   if (ok) retry_budget_.OnSuccess();
-  if (termination == StopReason::kBudget) {
-    memory_latch_.store(options_.memory_latch_updates,
-                        std::memory_order_relaxed);
-  }
   if (!cache_hit && ok) estimator_.Record(backend, run_ms);
 }
 

@@ -1,7 +1,6 @@
 #ifndef KANON_SERVICE_OVERLOAD_OVERLOAD_H_
 #define KANON_SERVICE_OVERLOAD_OVERLOAD_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -9,7 +8,6 @@
 #include "service/overload/estimator.h"
 #include "service/overload/governor.h"
 #include "service/overload/retry_budget.h"
-#include "util/run_context.h"
 
 /// \file
 /// The adaptive overload-control plane, threaded from the TCP front end
@@ -50,9 +48,6 @@ struct OverloadOptions {
   EstimatorOptions estimator;
   RetryBudgetOptions retry_budget;
   GovernorOptions governor;
-  /// Dequeue observations a budget-trip latch keeps signalling red
-  /// pressure for after the latching job completed.
-  int memory_latch_updates = 16;
 };
 
 class OverloadControl {
@@ -91,11 +86,10 @@ class OverloadControl {
   bool AllowRetry();
 
   /// Outcome report: feeds the estimator (skipped for cache hits, whose
-  /// near-zero times would poison the optimistic bound), refills the
-  /// retry budget on success, and latches the resource-pressure signal
-  /// when the job tripped its node budget (kBudget termination).
+  /// near-zero times would poison the optimistic bound) and refills the
+  /// retry budget on success.
   void RecordOutcome(const std::string& backend, double run_ms, bool ok,
-                     StopReason termination, bool cache_hit);
+                     bool cache_hit);
 
   BrownoutLevel level() const;
   /// Governor level transitions so far.
@@ -109,7 +103,6 @@ class OverloadControl {
   CoDelAdmission codel_;
   RetryBudget retry_budget_;
   HealthGovernor governor_;
-  std::atomic<int> memory_latch_{0};
 };
 
 }  // namespace kanon

@@ -444,8 +444,7 @@ void WorkerPool::WorkerLoop() {
       }
       if (overload_ != nullptr) {
         overload_->RecordOutcome(job->request.algorithm, response.run_ms,
-                                 response.ok(), response.termination,
-                                 response.cache_hit);
+                                 response.ok(), response.cache_hit);
       }
     }
     response.id = job->id;

@@ -193,22 +193,4 @@ std::shared_ptr<void> RunContext::GetScratch(const void* key) const {
   return parent_ != nullptr ? parent_->GetScratch(key) : nullptr;
 }
 
-bool RunContext::TryChargeMemory(size_t bytes) {
-  const size_t now =
-      memory_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-  if (memory_limit_ != 0 && now > memory_limit_) {
-    // Rejected charges are rolled back and do not count toward the
-    // high-water mark — nothing was ever allocated.
-    memory_.fetch_sub(bytes, std::memory_order_relaxed);
-    Latch(StopReason::kBudget);
-    return false;
-  }
-  // Track the high-water mark.
-  size_t peak = peak_memory_.load(std::memory_order_relaxed);
-  while (now > peak && !peak_memory_.compare_exchange_weak(
-                           peak, now, std::memory_order_relaxed)) {
-  }
-  return true;
-}
-
 }  // namespace kanon

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -27,8 +26,7 @@
 ///   * a wall-clock **deadline**,
 ///   * a cooperative **cancellation token** (thread-safe; another thread
 ///     may call RequestCancel() at any time),
-///   * a **node/iteration budget** charged by the solvers,
-///   * a transient **memory estimate** with an optional ceiling.
+///   * a **node/iteration budget** charged by the solvers.
 ///
 /// Solvers poll `ShouldStop()` at cooperative checkpoints in their hot
 /// loops (every few hundred iterations). The first limit to trip is
@@ -115,10 +113,6 @@ class RunContext {
   void set_node_budget(uint64_t max_nodes) { node_budget_ = max_nodes; }
   uint64_t node_budget() const { return node_budget_; }
 
-  /// Ceiling for the solver-estimated transient memory; 0 = unlimited.
-  void set_memory_limit_bytes(size_t bytes) { memory_limit_ = bytes; }
-  size_t memory_limit_bytes() const { return memory_limit_; }
-
   /// Lenient contexts make structural-cap violations decline instead of
   /// abort; see the file comment.
   void set_lenient(bool lenient) { lenient_ = lenient; }
@@ -183,24 +177,6 @@ class RunContext {
   }
   uint64_t nodes_charged() const {
     return nodes_.load(std::memory_order_relaxed);
-  }
-
-  /// Accounts `bytes` of planned transient memory. Returns false (and
-  /// latches kBudget) if the ceiling would be exceeded — callers must
-  /// then not allocate. Balance with ReleaseMemory().
-  bool TryChargeMemory(size_t bytes);
-  void ReleaseMemory(size_t bytes) {
-    memory_.fetch_sub(bytes, std::memory_order_relaxed);
-  }
-
-  /// High-water mark of the charged estimate over the context lifetime.
-  size_t peak_memory_bytes() const {
-    return peak_memory_.load(std::memory_order_relaxed);
-  }
-
-  /// Bytes currently charged (TryChargeMemory minus ReleaseMemory).
-  size_t memory_charged_bytes() const {
-    return memory_.load(std::memory_order_relaxed);
   }
 
   // --- Checkpoint cadence and resume ----------------------------------
@@ -269,9 +245,7 @@ class RunContext {
   // same context instead of being rebuilt per solver. The context only
   // sees opaque shared_ptrs; the owning layer defines the key (an
   // object address) and validates what it gets back. Entries die with
-  // the context; a value whose destructor calls ReleaseMemory() on this
-  // context is safe because the scratch map is destroyed first (it is
-  // the last declared member).
+  // the context.
 
   /// Stores `value` under `key` on this context, replacing any previous
   /// entry. Thread-safe.
@@ -318,15 +292,12 @@ class RunContext {
   Clock::time_point deadline_{};
 
   uint64_t node_budget_ = 0;
-  size_t memory_limit_ = 0;
   bool lenient_ = false;
   bool ckpt_isolated_ = false;
 
   std::atomic<bool> cancelled_{false};
   std::atomic<bool> preempted_{false};
   std::atomic<uint64_t> nodes_{0};
-  std::atomic<size_t> memory_{0};
-  std::atomic<size_t> peak_memory_{0};
   std::atomic<int> stop_reason_{static_cast<int>(StopReason::kNone)};
 
   /// Nearest ancestor (possibly this) with checkpoints armed; nullptr
@@ -352,56 +323,8 @@ class RunContext {
   // before the run, read by solvers at run start. Guarded by scratch_mu_.
   std::unordered_map<std::string, std::string> resume_;
 
-  // Declared last so it is destroyed first: scratch values may release
-  // charged memory on this context from their destructors.
   mutable std::mutex scratch_mu_;
   std::unordered_map<const void*, std::shared_ptr<void>> scratch_;
-};
-
-/// RAII slice of a parent context's memory budget, for wrappers that
-/// fan one run out into concurrent child runs (the sharded pipeline).
-/// Construction charges `bytes` against the parent — so sibling slices
-/// can never collectively exceed the parent's ceiling — and caps the
-/// child at exactly that slice; destruction returns the slice to the
-/// parent. When the parent cannot cover the slice, `ok()` is false, the
-/// parent latches kBudget (TryChargeMemory semantics) and the child is
-/// left untouched — the caller declines typed instead of running.
-/// A zero `bytes` or a parent without a ceiling is a no-op slice: the
-/// child inherits the parent's (un)limitedness unchanged.
-class ScopedMemoryBudget {
- public:
-  ScopedMemoryBudget(RunContext* parent, RunContext* child, size_t bytes)
-      : parent_(parent) {
-    if (parent == nullptr || child == nullptr || bytes == 0 ||
-        parent->memory_limit_bytes() == 0) {
-      ok_ = true;
-      return;
-    }
-    ok_ = parent->TryChargeMemory(bytes);
-    if (ok_) {
-      charged_ = bytes;
-      child->set_memory_limit_bytes(bytes);
-    }
-  }
-
-  ~ScopedMemoryBudget() {
-    if (charged_ > 0) parent_->ReleaseMemory(charged_);
-  }
-
-  ScopedMemoryBudget(const ScopedMemoryBudget&) = delete;
-  ScopedMemoryBudget& operator=(const ScopedMemoryBudget&) = delete;
-
-  /// False when the parent could not cover the slice (kBudget latched on
-  /// the parent); the caller must not run the child.
-  bool ok() const { return ok_; }
-
-  /// The slice actually charged against the parent (0 for no-op slices).
-  size_t charged_bytes() const { return charged_; }
-
- private:
-  RunContext* parent_;
-  size_t charged_ = 0;
-  bool ok_ = false;
 };
 
 }  // namespace kanon

@@ -33,7 +33,7 @@ enum class StatusCode {
   kParseError,
   /// A deadline expired before the operation finished.
   kDeadlineExceeded,
-  /// A node/iteration/memory budget was exhausted.
+  /// A node/iteration budget was exhausted, or an allocation failed.
   kResourceExhausted,
   /// The operation was cooperatively cancelled.
   kCancelled,

@@ -21,14 +21,17 @@
 namespace kanon {
 namespace {
 
+// gtest names each case by the struct's raw bytes, so it must have no
+// padding for the names to be stable.
 struct RatioCase {
   uint64_t seed;
   uint32_t n;
   uint32_t m;
-  uint32_t alphabet;
-  size_t k;
-  bool clustered;
+  uint64_t alphabet;
+  uint64_t k;
+  uint64_t clustered;  // 0 or 1
 };
+static_assert(sizeof(RatioCase) == 5 * sizeof(uint64_t));
 
 class RatioPropertyTest : public ::testing::TestWithParam<RatioCase> {
  protected:
@@ -38,7 +41,7 @@ class RatioPropertyTest : public ::testing::TestWithParam<RatioCase> {
       ClusteredTableOptions opt;
       opt.num_rows = c.n;
       opt.num_columns = c.m;
-      opt.alphabet = c.alphabet;
+      opt.alphabet = static_cast<uint32_t>(c.alphabet);
       opt.num_clusters = std::max<uint32_t>(2, c.n / 4);
       opt.noise_flips = 1;
       return ClusteredTable(opt, &rng);
@@ -46,7 +49,7 @@ class RatioPropertyTest : public ::testing::TestWithParam<RatioCase> {
     UniformTableOptions opt;
     opt.num_rows = c.n;
     opt.num_columns = c.m;
-    opt.alphabet = c.alphabet;
+    opt.alphabet = static_cast<uint32_t>(c.alphabet);
     return UniformTable(opt, &rng);
   }
 };

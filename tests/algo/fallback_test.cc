@@ -1,7 +1,9 @@
 #include "algo/fallback.h"
 
 #include <chrono>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "algo/exact_dp.h"
 #include "algo/registry.h"
@@ -236,6 +238,61 @@ TEST(FallbackTest, LargeTableDeadlineAnswersFromSuppressAllInTime) {
   EXPECT_TRUE(IsValidPartition(result.partition, t.num_rows(), k,
                                t.num_rows()));
   EXPECT_LT(elapsed_ms, 4 * 50.0);
+}
+
+/// Admits every stage and records each outcome the chain reports.
+class RecordingGate : public StageGate {
+ public:
+  bool Allow(const std::string&) override { return true; }
+  void Record(const std::string& stage, bool success) override {
+    records.push_back(stage + (success ? ":ok" : ":failed"));
+  }
+  std::vector<std::string> records;
+};
+
+/// A stage that never produces a partition: it polls its context until
+/// its deadline slice runs out.
+class StallingStage : public Anonymizer {
+ public:
+  using Anonymizer::Run;
+  std::string name() const override { return "stall"; }
+  AnonymizationResult Run(const Table&, size_t, RunContext* ctx) override {
+    while (!ctx->ShouldStop()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return StoppedResult(*ctx, 0.0, "stalled");
+  }
+};
+
+TEST(FallbackTest, OnlyAStageThatSpentItsSliceRecordsAFailure) {
+  // 40 rows: branch_bound declines on its structural cap (kBudget) and
+  // spends nothing, so the gate hears only from the stage that answers.
+  RecordingGate gate;
+  FallbackAnonymizer resilient({.gate = &gate});
+  Rng rng(5);
+  const Table t = UniformTable(
+      {.num_rows = 40, .num_columns = 6, .alphabet = 4}, &rng);
+  RunContext ctx;
+  EXPECT_EQ(resilient.Run(t, 3, &ctx).stage, "cluster_greedy+local_search");
+  EXPECT_EQ(gate.records,
+            std::vector<std::string>{"cluster_greedy+local_search:ok"});
+
+  // A stage stopped by its deadline slice is a failure.
+  RecordingGate stalled_gate;
+  FallbackAnonymizer stalling(
+      {.stages = {"stall", "suppress_all"},
+       .gate = &stalled_gate,
+       .make_stage = [](const std::string& stage)
+           -> std::unique_ptr<Anonymizer> {
+         if (stage == "stall") return std::make_unique<StallingStage>();
+         return MakeAnonymizer(stage);
+       }});
+  RunContext deadline_ctx;
+  deadline_ctx.set_deadline_after_millis(20.0);
+  const AnonymizationResult result = stalling.Run(t, 3, &deadline_ctx);
+  EXPECT_EQ(result.stage, "suppress_all");
+  EXPECT_EQ(result.termination, StopReason::kDeadline);
+  EXPECT_EQ(stalled_gate.records, std::vector<std::string>{"stall:failed"});
 }
 
 TEST(FallbackTest, RegistryExposesResilient) {

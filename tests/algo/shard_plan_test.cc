@@ -13,8 +13,7 @@
 /// \file
 /// Planner contract: the cut is a disjoint cover of [0, n) with every
 /// shard >= 2k-1 rows, deterministic from (table, k, options), bounded
-/// by the requested shard count, memory-accounted, and typed on faults
-/// and stops.
+/// by the requested shard count, and typed on faults and stops.
 
 namespace kanon {
 namespace {
@@ -132,23 +131,6 @@ TEST(ShardPlanTest, FaultSiteDeclinesTyped) {
   StatusOr<ShardPlan> plan = PlanShards(table, 3, ShardOptions{}, &ctx);
   EXPECT_FALSE(plan.ok());
   EXPECT_EQ(ctx.stop_reason(), StopReason::kBudget);
-}
-
-TEST(ShardPlanTest, ChargesAndReleasesScratchMemory) {
-  const Table table = TestTable(100);
-  RunContext ctx;
-  ctx.set_memory_limit_bytes(1 << 20);
-  StatusOr<ShardPlan> plan = PlanShards(table, 3, ShardOptions{}, &ctx);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_GE(ctx.peak_memory_bytes(), 100 * sizeof(RowId));
-  EXPECT_EQ(ctx.memory_charged_bytes(), 0u);
-
-  RunContext tight;
-  tight.set_memory_limit_bytes(8);  // cannot hold the row scratch
-  StatusOr<ShardPlan> declined =
-      PlanShards(table, 3, ShardOptions{}, &tight);
-  EXPECT_FALSE(declined.ok());
-  EXPECT_EQ(declined.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST(ShardPlanTest, CancelledContextStopsTyped) {

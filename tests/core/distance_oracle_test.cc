@@ -65,9 +65,6 @@ TEST(DistanceOracleTest, OnDemandPathMatchesMatrixExactly) {
                 (*dense)->KthNearestDistance(r, j));
     }
   }
-  // Only the dense table is charged to the budget.
-  EXPECT_EQ(ctx.peak_memory_bytes(),
-            40 * 40 * sizeof(DistanceOracle::Cell));
 }
 
 TEST(DistanceOracleTest, KnnLowerBoundAgreesAcrossRepresentations) {
@@ -80,47 +77,6 @@ TEST(DistanceOracleTest, KnnLowerBoundAgreesAcrossRepresentations) {
   for (const size_t k : {2u, 3u, 5u}) {
     EXPECT_EQ(KnnLowerBound(t, **oracle, k), KnnLowerBound(t, **dense, k));
   }
-}
-
-// Regression for the historical crash path: a table bigger than the
-// memory budget must come back as a typed kResourceExhausted status
-// (latched on the context), never a bad_alloc or an abort.
-TEST(DistanceOracleTest, MatrixOverBudgetIsTypedError) {
-  const Table t = MakeTable(64, 4, 5);
-  RunContext ctx;
-  ctx.set_memory_limit_bytes(1024);  // below the 64*64 one-byte cells
-  const auto oracle = DistanceOracle::Create(t, {}, &ctx);
-  ASSERT_FALSE(oracle.ok());
-  EXPECT_EQ(oracle.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(ctx.stop_reason(), StopReason::kBudget);
-}
-
-TEST(DistanceOracleTest, OracleOverBudgetIsTypedError) {
-  const Table t = MakeTable(64, 4, 6);
-  RunContext ctx;
-  ctx.set_memory_limit_bytes(1024);
-  const auto oracle = SharedDistanceOracle(t, &ctx);
-  ASSERT_FALSE(oracle.ok());
-  EXPECT_EQ(oracle.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(ctx.stop_reason(), StopReason::kBudget);
-}
-
-TEST(DistanceOracleTest, MatrixLeaseReleasesOnDestruction) {
-  const Table t = MakeTable(32, 4, 7);
-  const size_t bytes = 32 * 32 * sizeof(DistanceOracle::Cell);
-  RunContext ctx;
-  ctx.set_memory_limit_bytes(bytes);  // exactly one table fits
-  {
-    const auto oracle = DistanceOracle::Create(t, {}, &ctx);
-    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
-    EXPECT_EQ(ctx.peak_memory_bytes(), bytes);
-    // A second table cannot fit while the first holds its lease...
-    EXPECT_FALSE(ctx.TryChargeMemory(bytes));
-  }
-  // ...but fits again once the lease is released. (kBudget stays
-  // latched from the probe above; only the accounting is under test.)
-  EXPECT_TRUE(ctx.TryChargeMemory(bytes));
-  ctx.ReleaseMemory(bytes);
 }
 
 TEST(DistanceOracleTest, CancelledBuildReturnsStopStatus) {
@@ -194,15 +150,13 @@ TEST(DistanceOracleTest, DenseFillMatchesRowDistanceAtEdges) {
         if (n >= 2) {
           EXPECT_EQ((*oracle)->at(0, 1), m);
         }
-        EXPECT_EQ(ctx.memory_charged_bytes(),
-                  size_t{n} * n * sizeof(DistanceOracle::Cell));
       }
     }
   }
 }
 
 // Past 255 columns a distance no longer fits a cell: the oracle answers
-// on demand, charges nothing, and still agrees.
+// on demand and still agrees.
 TEST(DistanceOracleTest, WideTableIsOnDemand) {
   const Table t = MakeStarredTable(40, 256, 12);
   RunContext ctx;
@@ -211,24 +165,21 @@ TEST(DistanceOracleTest, WideTableIsOnDemand) {
   EXPECT_FALSE((*oracle)->dense());
   EXPECT_EQ(CountMismatches(t, **oracle), 0u);
   EXPECT_EQ((*oracle)->at(0, 1), 256u);
-  EXPECT_EQ(ctx.peak_memory_bytes(), 0u);
 }
 
-TEST(DistanceOracleTest, CancelledBuildReleasesItsCharge) {
+TEST(DistanceOracleTest, CancelledBuildLatchesCancelled) {
   const Table t = MakeTable(100, 5, 13);
   RunContext ctx;
   ctx.RequestCancel();
   const auto oracle = DistanceOracle::Create(t, {}, &ctx);
   ASSERT_FALSE(oracle.ok());
   EXPECT_EQ(oracle.status().code(), StatusCode::kCancelled);
-  EXPECT_EQ(ctx.peak_memory_bytes(), 100u * 100u);
-  EXPECT_EQ(ctx.memory_charged_bytes(), 0u);
+  EXPECT_EQ(ctx.stop_reason(), StopReason::kCancelled);
 }
 
 // The `distance.build` site fires on a row in the middle of the fill:
-// the build stops there, returns the deadline status, and the partial
-// table's charge is released.
-TEST(DistanceOracleTest, FaultMidFillReturnsStopStatusAndReleasesCharge) {
+// the build stops there and returns the deadline status.
+TEST(DistanceOracleTest, FaultMidFillReturnsStopStatus) {
   constexpr RowId kRows = 200;
   constexpr double kProbability = 0.05;
   const uint64_t site_fp =
@@ -264,8 +215,6 @@ TEST(DistanceOracleTest, FaultMidFillReturnsStopStatusAndReleasesCharge) {
     }
   }
   EXPECT_EQ(ctx.stop_reason(), StopReason::kDeadline);
-  EXPECT_EQ(ctx.peak_memory_bytes(), size_t{kRows} * kRows);
-  EXPECT_EQ(ctx.memory_charged_bytes(), 0u);
 }
 
 TEST(DistanceOracleTest, SharedOracleIsReusedAcrossCallers) {

@@ -12,8 +12,8 @@
 /// \file
 /// Sampler-layer contract: deterministic weighted samples whose integer
 /// weights always sum to exactly n, typed declines on cancellation /
-/// memory budget / injected faults, and the resolved-size clamps the
-/// wrapper relies on to pick the direct path.
+/// injected faults, and the resolved-size clamps the wrapper relies on
+/// to pick the direct path.
 
 namespace kanon {
 namespace {
@@ -148,16 +148,6 @@ TEST(CoresetSamplerTest, CancelledContextDeclinesTyped) {
   const auto sample = DrawCoresetSample(table, 3, {}, &ctx);
   ASSERT_FALSE(sample.ok());
   EXPECT_EQ(sample.status().code(), StatusCode::kCancelled);
-}
-
-TEST(CoresetSamplerTest, MemoryBudgetDeclinesTyped) {
-  const Table table = SmallTable(4096);
-  RunContext ctx;
-  ctx.set_memory_limit_bytes(64);  // far below the O(n) scratch
-  const auto sample = DrawCoresetSample(table, 3, {}, &ctx);
-  ASSERT_FALSE(sample.ok());
-  EXPECT_EQ(sample.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(ctx.stop_reason(), StopReason::kBudget);
 }
 
 TEST(CoresetSamplerTest, FaultSiteFiresTypedDecline) {

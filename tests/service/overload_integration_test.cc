@@ -108,12 +108,40 @@ TEST(OverloadIntegrationTest, BrownedOutResultNeverAnswersFullFidelity) {
 }
 
 // ---------------------------------------------------------------------
+// A request stopped by its own node budget is no overload signal.
+
+TEST(OverloadIntegrationTest, NodeBudgetStopDoesNotBrownOutLaterJobs) {
+  // The plane as `kanond --workers=1 --overload-target-ms=25` arms it,
+  // with no load: queue delays stay near zero, so nothing may degrade.
+  ServiceOptions options;
+  options.workers = 1;
+  options.overload_enabled = true;
+  options.overload.codel.target_ms = 25.0;
+  AnonymizationService service(options);
+
+  AnonymizeRequest budgeted = RequestFor(SmallTable(4, 24), 3, "resilient");
+  budgeted.node_budget = 50;
+  const AnonymizeResponse stopped = service.Handle(std::move(budgeted));
+  ASSERT_TRUE(stopped.ok()) << stopped.status;
+  ASSERT_EQ(stopped.termination, StopReason::kBudget);
+
+  for (uint64_t seed = 5; seed < 11; ++seed) {
+    const AnonymizeResponse answer =
+        service.Handle(RequestFor(SmallTable(seed, 64), 3, "mdav"));
+    ASSERT_TRUE(answer.ok()) << answer.status;
+    EXPECT_EQ(answer.effective_algorithm, "") << "table " << seed;
+    EXPECT_EQ(answer.brownout, 0) << "table " << seed;
+  }
+  EXPECT_EQ(service.Stats().counters[Counter::kOverloadBrownouts], 0u);
+}
+
+// ---------------------------------------------------------------------
 // Deadline reconciliation at dispatch.
 
 TEST(OverloadIntegrationTest, InfeasibleDeadlineIsRejectedTyped) {
   OverloadControl overload;
   // Teach the estimator that mdav takes ~300ms (optimistic bound 256ms).
-  overload.RecordOutcome("mdav", 300.0, true, StopReason::kNone, false);
+  overload.RecordOutcome("mdav", 300.0, true, false);
 
   JobQueue queue(8);
   ResultCache cache(8);

@@ -220,16 +220,6 @@ TEST(HealthGovernorTest, OpenBreakersSignalYellowPressure) {
   EXPECT_EQ(governor.Update(signals), BrownoutLevel::kYellow);
 }
 
-TEST(HealthGovernorTest, MemoryLatchIsRedPressure) {
-  HealthGovernor governor(FastGovernor());
-  GovernorSignals signals;
-  signals.memory_latched = true;
-  governor.Update(signals);
-  governor.Update(signals);  // green -> yellow
-  governor.Update(signals);
-  EXPECT_EQ(governor.Update(signals), BrownoutLevel::kRed);
-}
-
 TEST(HealthGovernorTest, YellowRewritesDirectBackendsToSharded) {
   HealthGovernor governor(FastGovernor());
   const RewriteDecision mdav =
@@ -338,15 +328,14 @@ TEST(OverloadControlTest, DeadlineInfeasibleNeedsAnOpinion) {
   EXPECT_TRUE(overload.DeadlineInfeasible("mdav", -1.0));
   // Teach the estimator that mdav takes ~300ms; 50ms of budget is now
   // provably not enough (optimistic bound 256ms), 400ms still is.
-  overload.RecordOutcome("mdav", 300.0, true, StopReason::kNone, false);
+  overload.RecordOutcome("mdav", 300.0, true, false);
   EXPECT_TRUE(overload.DeadlineInfeasible("mdav", 50.0));
   EXPECT_FALSE(overload.DeadlineInfeasible("mdav", 400.0));
 }
 
 TEST(OverloadControlTest, CacheHitsDoNotPoisonTheEstimator) {
   OverloadControl overload;
-  overload.RecordOutcome("mdav", 0.01, true, StopReason::kNone,
-                         /*cache_hit=*/true);
+  overload.RecordOutcome("mdav", 0.01, true, /*cache_hit=*/true);
   EXPECT_EQ(overload.estimator().Observations("mdav"), 0u);
 }
 
@@ -385,18 +374,6 @@ TEST(OverloadControlTest, DisabledGovernorNeverRewrites) {
   ScopedFaultInjection armed(plan);
   EXPECT_FALSE(overload.MaybeRewrite(1, "mdav", 0.0).rewritten);
   EXPECT_FALSE(overload.governor_enabled());
-}
-
-TEST(OverloadControlTest, BudgetTripLatchesRedPressure) {
-  OverloadOptions options;
-  options.memory_latch_updates = 3;
-  // Organic delay thresholds far away: only the latch can signal.
-  options.governor.up_ticks = 1;
-  OverloadControl overload(options);
-  overload.RecordOutcome("mdav", 5.0, true, StopReason::kBudget, false);
-  overload.OnDequeue(0.0, 0.0, 0);  // latched -> red pressure -> yellow
-  overload.OnDequeue(0.0, 1.0, 0);  // -> red
-  EXPECT_EQ(overload.level(), BrownoutLevel::kRed);
 }
 
 TEST(OverloadControlTest, RetryDenialsAreCounted) {

@@ -254,14 +254,25 @@ TEST(WorkerPoolTest, BreakerSkippedAnswersAreNotCached) {
                   {.workers = 1,
                    .breaker = {.failure_threshold = 1, .open_ms = 1e9}});
 
-  // A 35-row table: branch_bound's structural decline opens its
-  // breaker; the heuristic's answer is structural and cached.
+  // An injected `distance.build` fault stops branch_bound's oracle
+  // build with kDeadline: a failure that burns its slice opens the
+  // breaker. The heuristic answers, and a deadline artifact is not
+  // cached.
   ServiceError error = ServiceError::kNone;
-  const AnonymizeResponse large =
-      queue.Submit(RequestFor(SmallTable(3, 35), 3), &error)->result.get();
-  ASSERT_TRUE(large.ok());
-  EXPECT_EQ(large.stage, "cluster_greedy+local_search");
-  EXPECT_EQ(cache.stats().size, 1u);
+  AnonymizeResponse failed;
+  {
+    FaultPlan plan;
+    plan.seed = 5;
+    plan.sites.push_back({.site = "distance.build", .first_n = 1});
+    const ScopedFaultInjection armed(plan);
+    failed =
+        queue.Submit(RequestFor(SmallTable(3, 20), 3), &error)->result.get();
+  }
+  ASSERT_TRUE(failed.ok());
+  EXPECT_EQ(failed.chain.rfind("branch_bound(declined:deadline)", 0), 0u)
+      << failed.chain;
+  EXPECT_EQ(failed.stage, "cluster_greedy+local_search");
+  EXPECT_EQ(cache.stats().size, 0u);
 
   // A 20-row table now skips branch_bound, so the heuristic answers a
   // table branch_bound would have solved: not an answer to replay.
@@ -271,7 +282,33 @@ TEST(WorkerPoolTest, BreakerSkippedAnswersAreNotCached) {
   EXPECT_EQ(skipped.chain.rfind("branch_bound(skipped:breaker)", 0), 0u)
       << skipped.chain;
   EXPECT_EQ(skipped.stage, "cluster_greedy+local_search");
-  EXPECT_EQ(cache.stats().size, 1u);
+  EXPECT_EQ(cache.stats().size, 0u);
+}
+
+TEST(WorkerPoolTest, StructuralDeclinesDoNotOpenTheBreaker) {
+  // Three 35-row tables: branch_bound declines each on its 28-row cap.
+  // Those declines cost no time and say nothing about branch_bound's
+  // health, so a 20-row table after them is still answered by it.
+  // open_ms is stretched so the outcome cannot hinge on timing.
+  JobQueue queue(8);
+  ResultCache cache(8);
+  WorkerPool pool(&queue, &cache,
+                  {.workers = 1,
+                   .breaker = {.failure_threshold = 3, .open_ms = 1e9}});
+  ServiceError error = ServiceError::kNone;
+  for (const uint64_t seed : {3u, 5u, 7u}) {
+    const AnonymizeResponse large =
+        queue.Submit(RequestFor(SmallTable(seed, 35), 3), &error)
+            ->result.get();
+    ASSERT_TRUE(large.ok());
+    EXPECT_EQ(large.chain.rfind("branch_bound(declined:budget)", 0), 0u)
+        << large.chain;
+  }
+  const AnonymizeResponse small =
+      queue.Submit(RequestFor(SmallTable(4, 20), 3), &error)->result.get();
+  ASSERT_TRUE(small.ok());
+  EXPECT_EQ(small.stage, "branch_bound") << small.chain;
+  EXPECT_EQ(small.termination, StopReason::kNone);
 }
 
 TEST(WorkerPoolTest, FourRequestsInFlightOnFourWorkers) {

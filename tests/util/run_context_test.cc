@@ -86,28 +86,6 @@ TEST(RunContextTest, FirstStopReasonWins) {
   EXPECT_EQ(ctx.stop_reason(), StopReason::kDeadline);
 }
 
-TEST(RunContextTest, MemoryChargingTracksPeakAndReleases) {
-  RunContext ctx;  // unlimited
-  EXPECT_TRUE(ctx.TryChargeMemory(1000));
-  EXPECT_TRUE(ctx.TryChargeMemory(500));
-  EXPECT_EQ(ctx.peak_memory_bytes(), 1500u);
-  ctx.ReleaseMemory(500);
-  EXPECT_TRUE(ctx.TryChargeMemory(200));
-  EXPECT_EQ(ctx.peak_memory_bytes(), 1500u);  // high-water mark
-  EXPECT_FALSE(ctx.ShouldStop());
-}
-
-TEST(RunContextTest, MemoryLimitDeclinesAndLatchesBudget) {
-  RunContext ctx;
-  ctx.set_memory_limit_bytes(1024);
-  EXPECT_TRUE(ctx.TryChargeMemory(1000));
-  EXPECT_FALSE(ctx.TryChargeMemory(100));  // would exceed the ceiling
-  EXPECT_TRUE(ctx.ShouldStop());
-  EXPECT_EQ(ctx.stop_reason(), StopReason::kBudget);
-  // The failed charge was rolled back.
-  EXPECT_EQ(ctx.peak_memory_bytes(), 1000u);
-}
-
 TEST(RunContextTest, MarkStoppedLatchesDirectly) {
   RunContext ctx;
   ctx.MarkStopped(StopReason::kBudget);
@@ -262,60 +240,6 @@ TEST(RunContextTest, PreemptImpliesCancelAndIsInherited) {
   EXPECT_TRUE(child.cancel_requested());
   EXPECT_TRUE(child.ShouldStop());
   EXPECT_EQ(child.stop_reason(), StopReason::kCancelled);
-}
-
-TEST(ScopedMemoryBudgetTest, ChargesParentCapsChildAndReleases) {
-  RunContext parent;
-  parent.set_memory_limit_bytes(1000);
-  {
-    RunContext child(&parent);
-    ScopedMemoryBudget slice(&parent, &child, 400);
-    ASSERT_TRUE(slice.ok());
-    EXPECT_EQ(parent.memory_charged_bytes(), 400u);
-    EXPECT_EQ(child.memory_limit_bytes(), 400u);
-    // The child spends against its own slice, not the parent's ledger.
-    EXPECT_TRUE(child.TryChargeMemory(300));
-    EXPECT_FALSE(child.TryChargeMemory(200));
-    EXPECT_EQ(child.stop_reason(), StopReason::kBudget);
-    EXPECT_EQ(parent.memory_charged_bytes(), 400u);
-  }
-  // Destruction returns the slice to the parent.
-  EXPECT_EQ(parent.memory_charged_bytes(), 0u);
-  EXPECT_GE(parent.peak_memory_bytes(), 400u);
-}
-
-TEST(ScopedMemoryBudgetTest, OverdrawnParentLatchesBudgetAndNotOk) {
-  RunContext parent;
-  parent.set_memory_limit_bytes(100);
-  RunContext child(&parent);
-  ScopedMemoryBudget slice(&parent, &child, 400);
-  EXPECT_FALSE(slice.ok());
-  EXPECT_TRUE(parent.ShouldStop());
-  EXPECT_EQ(parent.stop_reason(), StopReason::kBudget);
-}
-
-TEST(ScopedMemoryBudgetTest, NoOpWhenParentIsUnlimitedOrAbsent) {
-  {
-    RunContext parent;  // no memory limit set
-    RunContext child(&parent);
-    ScopedMemoryBudget slice(&parent, &child, 400);
-    EXPECT_TRUE(slice.ok());
-    EXPECT_EQ(parent.memory_charged_bytes(), 0u);
-    EXPECT_EQ(child.memory_limit_bytes(), 0u);
-  }
-  {
-    RunContext child(nullptr);
-    ScopedMemoryBudget slice(nullptr, &child, 400);
-    EXPECT_TRUE(slice.ok());
-  }
-  {
-    RunContext parent;
-    parent.set_memory_limit_bytes(100);
-    RunContext child(&parent);
-    ScopedMemoryBudget slice(&parent, &child, 0);
-    EXPECT_TRUE(slice.ok());
-    EXPECT_EQ(parent.memory_charged_bytes(), 0u);
-  }
 }
 
 TEST(StopReasonTest, NamesAndStatusMapping) {
