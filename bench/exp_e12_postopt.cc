@@ -28,6 +28,7 @@ namespace {
 
 int Main(int argc, char** argv) {
   const CommandLine cl = CommandLine::Parse(argc, argv);
+  if (!CheckKnownFlags(cl, "exp_e12_postopt", {"n", "trials", "k"})) return 1;
   const uint32_t n = static_cast<uint32_t>(cl.GetInt("n", 90));
   const uint32_t trials = static_cast<uint32_t>(cl.GetInt("trials", 3));
   const size_t k = static_cast<size_t>(cl.GetInt("k", 3));

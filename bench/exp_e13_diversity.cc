@@ -30,6 +30,7 @@ namespace {
 
 int Main(int argc, char** argv) {
   const CommandLine cl = CommandLine::Parse(argc, argv);
+  if (!CheckKnownFlags(cl, "exp_e13_diversity", {"n", "seed"})) return 1;
   const uint32_t n = static_cast<uint32_t>(cl.GetInt("n", 120));
   const uint32_t seed = static_cast<uint32_t>(cl.GetInt("seed", 3));
 

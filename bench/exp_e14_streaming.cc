@@ -29,6 +29,7 @@ std::unique_ptr<Anonymizer> MakeBase() {
 
 int Main(int argc, char** argv) {
   const CommandLine cl = CommandLine::Parse(argc, argv);
+  if (!CheckKnownFlags(cl, "exp_e14_streaming", {"n", "k"})) return 1;
   const uint32_t n = static_cast<uint32_t>(cl.GetInt("n", 600));
   const size_t k = static_cast<size_t>(cl.GetInt("k", 4));
 

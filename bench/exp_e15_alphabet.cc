@@ -30,6 +30,10 @@ namespace {
 
 int Main(int argc, char** argv) {
   const CommandLine cl = CommandLine::Parse(argc, argv);
+  if (!CheckKnownFlags(cl, "exp_e15_alphabet",
+                       {"n", "m", "k", "trials"})) {
+    return 1;
+  }
   const uint32_t n = static_cast<uint32_t>(cl.GetInt("n", 14));
   const uint32_t m = static_cast<uint32_t>(cl.GetInt("m", 6));
   const size_t k = static_cast<size_t>(cl.GetInt("k", 3));

@@ -101,6 +101,10 @@ AnonymizationResult RunCoreset(const Table& table, size_t k,
 
 int Main(int argc, char** argv) {
   const CommandLine cl = CommandLine::Parse(argc, argv);
+  if (!CheckKnownFlags(cl, "exp_e16_coreset",
+                       {"n", "k", "seed", "inner", "out", "big_rows"})) {
+    return 1;
+  }
   const size_t n = static_cast<size_t>(cl.GetInt("n", 2048));
   const size_t k = static_cast<size_t>(cl.GetInt("k", 5));
   const uint64_t seed = static_cast<uint64_t>(cl.GetInt("seed", 42));

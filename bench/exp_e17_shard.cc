@@ -35,6 +35,11 @@ namespace {
 
 int Main(int argc, char** argv) {
   const CommandLine cl = CommandLine::Parse(argc, argv);
+  if (!CheckKnownFlags(cl, "exp_e17_shard",
+                       {"n", "k", "seed", "inner", "shards", "parallelism",
+                        "out", "big_rows"})) {
+    return 1;
+  }
   const size_t n = static_cast<size_t>(cl.GetInt("n", 65536));
   const size_t k = static_cast<size_t>(cl.GetInt("k", 5));
   const uint64_t seed = static_cast<uint64_t>(cl.GetInt("seed", 42));

@@ -24,6 +24,10 @@ namespace {
 
 int Main(int argc, char** argv) {
   const CommandLine cl = CommandLine::Parse(argc, argv);
+  if (!CheckKnownFlags(cl, "exp_e1_hardness_kanon",
+                       {"trials", "n", "extra", "deadline-ms"})) {
+    return 1;
+  }
   const uint32_t trials =
       static_cast<uint32_t>(cl.GetInt("trials", 6));
   const uint32_t n = static_cast<uint32_t>(cl.GetInt("n", 9));

@@ -23,6 +23,7 @@ namespace {
 
 int Main(int argc, char** argv) {
   const CommandLine cl = CommandLine::Parse(argc, argv);
+  if (!CheckKnownFlags(cl, "exp_e2_hardness_attribute", {"trials"})) return 1;
   const uint32_t trials = static_cast<uint32_t>(cl.GetInt("trials", 5));
 
   bench::PrintBanner(

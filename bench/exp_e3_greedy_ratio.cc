@@ -42,6 +42,10 @@ Table MakeWorkload(const std::string& kind, uint32_t n, uint32_t m,
 
 int Main(int argc, char** argv) {
   const CommandLine cl = CommandLine::Parse(argc, argv);
+  if (!CheckKnownFlags(cl, "exp_e3_greedy_ratio",
+                       {"trials", "n", "m"})) {
+    return 1;
+  }
   const uint32_t trials = static_cast<uint32_t>(cl.GetInt("trials", 8));
   const uint32_t n = static_cast<uint32_t>(cl.GetInt("n", 12));
   const uint32_t m = static_cast<uint32_t>(cl.GetInt("m", 6));

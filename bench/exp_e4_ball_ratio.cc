@@ -34,6 +34,10 @@ struct Config {
 
 int Main(int argc, char** argv) {
   const CommandLine cl = CommandLine::Parse(argc, argv);
+  if (!CheckKnownFlags(cl, "exp_e4_ball_ratio",
+                       {"trials", "n_small", "n_large", "m", "k"})) {
+    return 1;
+  }
   const uint32_t trials = static_cast<uint32_t>(cl.GetInt("trials", 8));
   const uint32_t n_small = static_cast<uint32_t>(cl.GetInt("n_small", 12));
   const uint32_t n_large = static_cast<uint32_t>(cl.GetInt("n_large", 120));

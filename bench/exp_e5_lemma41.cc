@@ -68,6 +68,7 @@ size_t MinDiameterSum(const Table& table, size_t k) {
 
 int Main(int argc, char** argv) {
   const CommandLine cl = CommandLine::Parse(argc, argv);
+  if (!CheckKnownFlags(cl, "exp_e5_lemma41", {"trials", "n"})) return 1;
   const uint32_t trials = static_cast<uint32_t>(cl.GetInt("trials", 6));
   const uint32_t n = static_cast<uint32_t>(cl.GetInt("n", 9));
 

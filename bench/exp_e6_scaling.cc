@@ -36,6 +36,7 @@ double MedianRuntimeSeconds(uint32_t n, uint32_t m, size_t k,
 
 int Main(int argc, char** argv) {
   const CommandLine cl = CommandLine::Parse(argc, argv);
+  if (!CheckKnownFlags(cl, "exp_e6_scaling", {"k", "repeats"})) return 1;
   const size_t k = static_cast<size_t>(cl.GetInt("k", 3));
   const uint32_t repeats = static_cast<uint32_t>(cl.GetInt("repeats", 3));
 

@@ -27,6 +27,7 @@ namespace {
 
 int Main(int argc, char** argv) {
   const CommandLine cl = CommandLine::Parse(argc, argv);
+  if (!CheckKnownFlags(cl, "exp_e7_k_blowup", {"repeats"})) return 1;
   const uint32_t repeats = static_cast<uint32_t>(cl.GetInt("repeats", 3));
 
   bench::PrintBanner(

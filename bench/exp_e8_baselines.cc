@@ -49,6 +49,10 @@ Table MakeWorkload(const std::string& kind, uint32_t n, Rng* rng) {
 
 int Main(int argc, char** argv) {
   const CommandLine cl = CommandLine::Parse(argc, argv);
+  if (!CheckKnownFlags(cl, "exp_e8_baselines",
+                       {"n", "trials", "csv_dir"})) {
+    return 1;
+  }
   const uint32_t n = static_cast<uint32_t>(cl.GetInt("n", 120));
   const uint32_t trials = static_cast<uint32_t>(cl.GetInt("trials", 3));
 

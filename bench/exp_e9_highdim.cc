@@ -26,6 +26,7 @@ namespace {
 
 int Main(int argc, char** argv) {
   const CommandLine cl = CommandLine::Parse(argc, argv);
+  if (!CheckKnownFlags(cl, "exp_e9_highdim", {"n", "k", "trials"})) return 1;
   const uint32_t n = static_cast<uint32_t>(cl.GetInt("n", 100));
   const size_t k = static_cast<size_t>(cl.GetInt("k", 3));
   const uint32_t trials = static_cast<uint32_t>(cl.GetInt("trials", 3));

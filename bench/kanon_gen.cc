@@ -45,12 +45,8 @@ std::vector<uint32_t> ParseAlphabets(const std::string& spec) {
 
 int Main(int argc, char** argv) {
   const CommandLine cl = CommandLine::Parse(argc, argv);
-  const std::vector<std::string> known = {"rows", "cols", "alphabets",
-                                          "zipf", "seed", "out"};
-  for (const std::string& flag : cl.UnknownFlags(known)) {
-    std::cerr << "kanon_gen: unknown flag --" << flag
-              << " (known: --rows --cols --alphabets --zipf --seed "
-                 "--out)\n";
+  if (!CheckKnownFlags(cl, "kanon_gen",
+                       {"rows", "cols", "alphabets", "zipf", "seed", "out"})) {
     return 2;
   }
 

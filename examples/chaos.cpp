@@ -31,9 +31,9 @@ int main(int argc, char** argv) {
   using namespace kanon;
   const CommandLine cl = CommandLine::Parse(argc, argv);
 
-  for (const std::string& flag : cl.UnknownFlags(
-           {"chaos-seed", "schedules", "jobs", "scratch", "version"})) {
-    std::cerr << "chaos: unknown flag --" << flag << "\n";
+  if (!CheckKnownFlags(cl, "chaos",
+                       {"chaos-seed", "schedules", "jobs", "scratch",
+                        "version"})) {
     return 1;
   }
   if (cl.GetBool("version", false)) {

@@ -348,15 +348,11 @@ int main(int argc, char** argv) {
   const CommandLine cl = CommandLine::Parse(argc, argv);
   // A typo'd flag must not run the default benchmark, which would also
   // overwrite the default --out in the working directory.
-  const std::vector<std::string> unknown = cl.UnknownFlags({
-      "connections", "requests", "rows", "k", "node-budget", "port",
-      "algo", "host", "out", "deadline-ms", "overload-target-ms",
-      "retry-budget-ratio", "brownout", "target-rps", "version",
-  });
-  if (!unknown.empty()) {
-    for (const std::string& flag : unknown) {
-      std::cerr << "kanon_load: unknown flag --" << flag << "\n";
-    }
+  if (!CheckKnownFlags(cl, "kanon_load",
+                       {"connections", "requests", "rows", "k", "node-budget",
+                        "port", "algo", "host", "out", "deadline-ms",
+                        "overload-target-ms", "retry-budget-ratio",
+                        "brownout", "target-rps", "version"})) {
     return 1;
   }
   if (cl.GetBool("version", false)) {

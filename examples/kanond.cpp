@@ -132,17 +132,14 @@ int main(int argc, char** argv) {
   // A typo'd flag must not silently run with defaults: a daemon started
   // with --watchdog-sm=500 and no watchdog is a misconfiguration that
   // only surfaces during the outage it was meant to contain.
-  const std::vector<std::string> unknown = cl.UnknownFlags({
-      "workers", "queue-capacity", "cache-capacity", "journal",
-      "checkpoint-dir", "checkpoint-every", "checkpoint-ms",
-      "watchdog-ms", "faults", "once", "tcp-port", "tcp-max-conns",
-      "tcp-idle-ms", "tcp-drain-ms", "overload-target-ms",
-      "retry-budget-ratio", "brownout", "help", "version",
-  });
-  if (!unknown.empty()) {
-    for (const std::string& flag : unknown) {
-      std::cerr << "kanond: unknown flag --" << flag << "\n";
-    }
+  if (!CheckKnownFlags(cl, "kanond",
+                       {"workers", "queue-capacity", "cache-capacity",
+                        "journal", "checkpoint-dir", "checkpoint-every",
+                        "checkpoint-ms", "watchdog-ms", "faults", "once",
+                        "tcp-port", "tcp-max-conns", "tcp-idle-ms",
+                        "tcp-drain-ms", "overload-target-ms",
+                        "retry-budget-ratio", "brownout", "help",
+                        "version"})) {
     std::cerr << kUsage;
     return 1;
   }

@@ -1,8 +1,12 @@
 #include "algo/branch_bound.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <sstream>
+#include <vector>
 
 #include "algo/cluster_greedy.h"
 #include "algo/local_search.h"
@@ -19,20 +23,52 @@ namespace kanon {
 namespace {
 
 /// DFS state for the exact search.
+///
+/// A search node costs O(⌈m/64⌉) and allocates nothing. The rows of the
+/// committed groups, then the group being built, sit on one flat stack
+/// (`rows_`; `group_ends_` marks where each committed group ends), and
+/// every level's candidates on another. The group being built carries
+/// three running values: its disagreeing-column mask (the OR of the
+/// precomputed anchor-vs-row masks of its rows; the anchor is its first
+/// row, so this is exactly the columns AnonCost counts), its weight and
+/// its k-NN lower-bound sum. A Partition is built only when the
+/// incumbent is replaced.
 class Search {
  public:
   Search(const Table& table, const DistanceOracle& dm, size_t k,
          size_t max_nodes, RunContext* ctx)
-      : table_(table), k_(k), max_nodes_(max_nodes), ctx_(ctx) {
-    const RowId n = table.num_rows();
-    assigned_.assign(n, false);
-    row_lb_.resize(n);
-    for (RowId r = 0; r < n; ++r) {
+      : n_(table.num_rows()),
+        words_((static_cast<size_t>(table.num_columns()) + 63) / 64),
+        k_(k),
+        max_nodes_(max_nodes),
+        ctx_(ctx) {
+    assigned_.assign(n_, 0);
+    row_lb_.resize(n_);
+    weight_.resize(n_);
+    for (RowId r = 0; r < n_; ++r) {
       row_lb_[r] = (k >= 2) ? dm.KthNearestDistance(
                                   r, static_cast<RowId>(k - 1))
                             : 0;
       remaining_lb_ += row_lb_[r];
+      weight_[r] = table.row_weight(r);
     }
+    pair_masks_.assign(static_cast<size_t>(n_) * n_ * words_, 0);
+    for (RowId a = 0; a < n_; ++a) {
+      const std::span<const ValueCode> anchor = table.row(a);
+      for (RowId r = a + 1; r < n_; ++r) {
+        const std::span<const ValueCode> row = table.row(r);
+        uint64_t* mask = PairMask(a, r);
+        for (ColId c = 0; c < table.num_columns(); ++c) {
+          if (row[c] != anchor[c]) mask[c / 64] |= uint64_t{1} << (c % 64);
+        }
+      }
+    }
+    masks_.assign((static_cast<size_t>(n_) + 1) * words_, 0);
+    rows_.reserve(n_);
+    group_ends_.reserve(n_);
+    // Each DFS level holds at most n candidates and there are at most n
+    // levels, so the candidate stack never reallocates.
+    candidates_.reserve(static_cast<size_t>(n_) * n_);
   }
 
   /// Runs the search starting from an incumbent partition/cost. Until
@@ -44,7 +80,6 @@ class Search {
     best_partition_ = std::move(incumbent);
     best_cost_ = incumbent_cost;
     bound_ = incumbent_cost + 1;
-    current_.groups.clear();
     Assign(0);
   }
 
@@ -95,75 +130,115 @@ class Search {
     if (NodeBudgetExceeded()) return;
     // Find the anchor: lowest unassigned row.
     RowId anchor = from_hint;
-    const RowId n = table_.num_rows();
-    while (anchor < n && assigned_[anchor]) ++anchor;
-    if (anchor == n) {
+    while (anchor < n_ && assigned_[anchor]) ++anchor;
+    if (anchor == n_) {
       if (current_cost_ < bound_) {
         best_cost_ = current_cost_;
         bound_ = current_cost_;
-        best_partition_ = current_;
+        StoreIncumbent();
       }
       return;
     }
-    // Candidates for the anchor's group.
-    std::vector<RowId> candidates;
-    for (RowId r = anchor + 1; r < n; ++r) {
-      if (!assigned_[r]) candidates.push_back(r);
+    // Candidates for the anchor's group, pushed on the shared stack.
+    const size_t first = candidates_.size();
+    for (RowId r = anchor + 1; r < n_; ++r) {
+      if (!assigned_[r]) candidates_.push_back(r);
     }
-    if (candidates.size() + 1 < k_) return;  // cannot form a group
-    Group group = {anchor};
-    Extend(&group, candidates, 0, anchor);
+    const size_t last = candidates_.size();
+    if (last - first + 1 >= k_) {  // else no group can be formed
+      const size_t begin = rows_.size();
+      rows_.push_back(anchor);
+      std::fill_n(MaskAt(begin), words_, uint64_t{0});
+      Extend(begin, first, last, weight_[anchor], row_lb_[anchor]);
+      rows_.pop_back();
+    }
+    candidates_.resize(first);
   }
 
-  /// Inner recursion: grow `group` (which contains the anchor) with
-  /// candidates[pos..]; every subset of size in [k, 2k-1] is tried.
-  void Extend(Group* group, const std::vector<RowId>& candidates,
-              size_t pos, RowId anchor) {
+  /// Inner recursion: grow the group rows_[begin..] (anchor first, with
+  /// running `weight` and k-NN sum `lb`) with candidates_[pos..last);
+  /// every subset of size in [k, 2k-1] is tried.
+  void Extend(size_t begin, size_t pos, size_t last, size_t weight,
+              size_t lb) {
     if (truncated_) return;
-    if (group->size() >= k_) TryGroup(*group, anchor);
-    if (group->size() == 2 * k_ - 1) return;
-    for (size_t i = pos; i < candidates.size(); ++i) {
-      group->push_back(candidates[i]);
-      Extend(group, candidates, i + 1, anchor);
-      group->pop_back();
+    const size_t top = rows_.size() - 1;
+    const size_t size = rows_.size() - begin;
+    if (size >= k_) TryGroup(begin, weight, lb);
+    if (size == 2 * k_ - 1) return;
+    const RowId anchor = rows_[begin];
+    const uint64_t* mask = MaskAt(top);
+    uint64_t* next = MaskAt(top + 1);
+    for (size_t i = pos; i < last; ++i) {
+      const RowId r = candidates_[i];
+      const uint64_t* pair = PairMask(anchor, r);
+      for (size_t w = 0; w < words_; ++w) next[w] = mask[w] | pair[w];
+      rows_.push_back(r);
+      Extend(begin, i + 1, last, weight + weight_[r], lb + row_lb_[r]);
+      rows_.pop_back();
       if (truncated_) return;
     }
   }
 
-  /// Commits `group`, recurses, rolls back.
-  void TryGroup(const Group& group, RowId anchor) {
+  /// Commits the group rows_[begin..], recurses, rolls back.
+  void TryGroup(size_t begin, size_t weight, size_t group_lb) {
     if (NodeBudgetExceeded()) return;
-    const size_t group_cost = AnonCost(table_, group);
-    size_t group_lb = 0;
-    for (const RowId r : group) group_lb += row_lb_[r];
+    const uint64_t* mask = MaskAt(rows_.size() - 1);
+    size_t disagreeing = 0;
+    for (size_t w = 0; w < words_; ++w) disagreeing += std::popcount(mask[w]);
+    const size_t group_cost = weight * disagreeing;
     // Prune: committed cost + this group + LB of what remains.
     const size_t projected =
         current_cost_ + group_cost + (remaining_lb_ - group_lb);
     if (projected >= bound_) return;
 
-    for (const RowId r : group) assigned_[r] = true;
+    const size_t end = rows_.size();
+    for (size_t i = begin; i < end; ++i) assigned_[rows_[i]] = 1;
     current_cost_ += group_cost;
     remaining_lb_ -= group_lb;
-    current_.groups.push_back(group);
+    group_ends_.push_back(end);
 
-    Assign(anchor + 1);
+    Assign(rows_[begin] + 1);
 
-    current_.groups.pop_back();
+    group_ends_.pop_back();
     remaining_lb_ += group_lb;
     current_cost_ -= group_cost;
-    for (const RowId r : group) assigned_[r] = false;
+    for (size_t i = begin; i < end; ++i) assigned_[rows_[i]] = 0;
   }
 
-  const Table& table_;
+  /// Copies the committed groups, in commit order, into the incumbent.
+  void StoreIncumbent() {
+    best_partition_.groups.resize(group_ends_.size());
+    size_t begin = 0;
+    for (size_t g = 0; g < group_ends_.size(); ++g) {
+      best_partition_.groups[g].assign(rows_.begin() + begin,
+                                       rows_.begin() + group_ends_[g]);
+      begin = group_ends_[g];
+    }
+  }
+
+  /// Columns on which rows a < r disagree, as `words_` 64-bit words.
+  uint64_t* PairMask(RowId a, RowId r) {
+    return pair_masks_.data() + (static_cast<size_t>(a) * n_ + r) * words_;
+  }
+  /// Disagreeing columns of the group being built, up to rows_[pos].
+  uint64_t* MaskAt(size_t pos) { return masks_.data() + pos * words_; }
+
+  const RowId n_;
+  const size_t words_;
   const size_t k_;
   const size_t max_nodes_;
   RunContext* const ctx_;
 
-  std::vector<bool> assigned_;
+  std::vector<uint8_t> assigned_;
   std::vector<ColId> row_lb_;
+  std::vector<uint32_t> weight_;
+  std::vector<uint64_t> pair_masks_;
   size_t remaining_lb_ = 0;
 
-  Partition current_;
+  std::vector<RowId> rows_;
+  std::vector<size_t> group_ends_;
+  std::vector<RowId> candidates_;
+  std::vector<uint64_t> masks_;
   size_t current_cost_ = 0;
 
   Partition best_partition_;

@@ -25,7 +25,8 @@
 /// node, charged to the RunContext and counted in `notes` (`nodes=`).
 /// A node budget (max_nodes, or the context's) thus bounds the search's
 /// work; when it runs out the incumbent is returned, never worse than
-/// the seed.
+/// the seed. A node costs O(⌈m/64⌉) and allocates nothing: the group
+/// being built carries running column-mask, weight and k-NN sums.
 ///
 /// Complements exact_dp: no 2^n memory, so it reaches slightly larger n
 /// when the instance has pruning-friendly structure (e.g. planted

@@ -1,6 +1,7 @@
 #include "util/cli.h"
 
 #include <cmath>
+#include <iostream>
 #include <sstream>
 
 #include "util/string_util.h"
@@ -115,6 +116,15 @@ bool CommandLine::GetBool(const std::string& name, bool fallback) const {
   if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
   if (v == "false" || v == "0" || v == "no" || v == "off") return false;
   return fallback;
+}
+
+bool CheckKnownFlags(const CommandLine& cl, std::string_view program,
+                     const std::vector<std::string>& known) {
+  const std::vector<std::string> unknown = cl.UnknownFlags(known);
+  for (const std::string& flag : unknown) {
+    std::cerr << program << ": unknown flag --" << flag << "\n";
+  }
+  return unknown.empty();
 }
 
 }  // namespace kanon

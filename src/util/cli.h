@@ -3,6 +3,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/status.h"
@@ -60,6 +61,13 @@ class CommandLine {
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
 };
+
+/// The usage check of a binary with a fixed flag set: prints
+/// `<program>: unknown flag --<name>` on stderr for every flag of `cl`
+/// outside `known`, and returns false when there was one. Call it before
+/// the binary does any work or writes any output, and exit on false.
+bool CheckKnownFlags(const CommandLine& cl, std::string_view program,
+                     const std::vector<std::string>& known);
 
 }  // namespace kanon
 

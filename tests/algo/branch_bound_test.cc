@@ -1,13 +1,21 @@
 #include "algo/branch_bound.h"
 
+#include <algorithm>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "algo/cluster_greedy.h"
 #include "algo/exact_dp.h"
+#include "algo/local_search.h"
 #include "algo/registry.h"
+#include "core/cost.h"
+#include "core/distance_oracle.h"
 #include "data/generators/clustered.h"
 #include "data/generators/uniform.h"
 #include "gtest/gtest.h"
+#include "util/logging.h"
 #include "util/random.h"
 
 namespace kanon {
@@ -162,6 +170,220 @@ TEST(BranchBoundTest, NotesCountNodes) {
   BranchBoundAnonymizer algo;
   const auto result = algo.Run(t, 2);
   EXPECT_NE(result.notes.find("nodes="), std::string::npos);
+}
+
+// The search as it was before its nodes went allocation-free: every
+// group is rescanned with AnonCost, every Assign allocates its candidate
+// vector, and the partition being built is a Partition copied on each
+// commit. Kept here as the reference that the production search must
+// match node for node. The fault point and the checkpoint write, which
+// this test never arms, are left out.
+class ReferenceSearch {
+ public:
+  ReferenceSearch(const Table& table, const DistanceOracle& dm, size_t k,
+                  size_t max_nodes, RunContext* ctx)
+      : table_(table), k_(k), max_nodes_(max_nodes), ctx_(ctx) {
+    const RowId n = table.num_rows();
+    assigned_.assign(n, false);
+    row_lb_.resize(n);
+    for (RowId r = 0; r < n; ++r) {
+      row_lb_[r] = (k >= 2) ? dm.KthNearestDistance(
+                                  r, static_cast<RowId>(k - 1))
+                            : 0;
+      remaining_lb_ += row_lb_[r];
+    }
+  }
+
+  void Run(Partition incumbent, size_t incumbent_cost) {
+    best_partition_ = std::move(incumbent);
+    best_cost_ = incumbent_cost;
+    bound_ = incumbent_cost + 1;
+    Assign(0);
+  }
+
+  const Partition& best_partition() const { return best_partition_; }
+  size_t best_cost() const { return best_cost_; }
+  size_t nodes() const { return nodes_; }
+  bool truncated() const { return truncated_; }
+
+ private:
+  bool NodeBudgetExceeded() {
+    ++nodes_;
+    if (max_nodes_ != 0 && nodes_ >= max_nodes_) {
+      truncated_ = true;
+      return true;
+    }
+    ctx_->ChargeNodes();
+    if ((nodes_ & 0x3f) == 0 && ctx_->ShouldStop()) {
+      truncated_ = true;
+      return true;
+    }
+    return false;
+  }
+
+  void Assign(RowId from_hint) {
+    if (truncated_) return;
+    if (NodeBudgetExceeded()) return;
+    RowId anchor = from_hint;
+    const RowId n = table_.num_rows();
+    while (anchor < n && assigned_[anchor]) ++anchor;
+    if (anchor == n) {
+      if (current_cost_ < bound_) {
+        best_cost_ = current_cost_;
+        bound_ = current_cost_;
+        best_partition_ = current_;
+      }
+      return;
+    }
+    std::vector<RowId> candidates;
+    for (RowId r = anchor + 1; r < n; ++r) {
+      if (!assigned_[r]) candidates.push_back(r);
+    }
+    if (candidates.size() + 1 < k_) return;
+    Group group = {anchor};
+    Extend(&group, candidates, 0, anchor);
+  }
+
+  void Extend(Group* group, const std::vector<RowId>& candidates,
+              size_t pos, RowId anchor) {
+    if (truncated_) return;
+    if (group->size() >= k_) TryGroup(*group, anchor);
+    if (group->size() == 2 * k_ - 1) return;
+    for (size_t i = pos; i < candidates.size(); ++i) {
+      group->push_back(candidates[i]);
+      Extend(group, candidates, i + 1, anchor);
+      group->pop_back();
+      if (truncated_) return;
+    }
+  }
+
+  void TryGroup(const Group& group, RowId anchor) {
+    if (NodeBudgetExceeded()) return;
+    const size_t group_cost = AnonCost(table_, group);
+    size_t group_lb = 0;
+    for (const RowId r : group) group_lb += row_lb_[r];
+    const size_t projected =
+        current_cost_ + group_cost + (remaining_lb_ - group_lb);
+    if (projected >= bound_) return;
+    for (const RowId r : group) assigned_[r] = true;
+    current_cost_ += group_cost;
+    remaining_lb_ -= group_lb;
+    current_.groups.push_back(group);
+    Assign(anchor + 1);
+    current_.groups.pop_back();
+    remaining_lb_ += group_lb;
+    current_cost_ -= group_cost;
+    for (const RowId r : group) assigned_[r] = false;
+  }
+
+  const Table& table_;
+  const size_t k_;
+  const size_t max_nodes_;
+  RunContext* const ctx_;
+  std::vector<bool> assigned_;
+  std::vector<ColId> row_lb_;
+  size_t remaining_lb_ = 0;
+  Partition current_;
+  size_t current_cost_ = 0;
+  Partition best_partition_;
+  size_t best_cost_ = 0;
+  size_t bound_ = 0;
+  size_t nodes_ = 0;
+  bool truncated_ = false;
+};
+
+// BranchBoundAnonymizer::Run around the reference search: the same
+// oracle, the same cluster_greedy+local_search seed, the same notes.
+AnonymizationResult ReferenceBranchBound(const Table& table, size_t k,
+                                         size_t max_nodes, RunContext* ctx) {
+  const auto oracle = SharedDistanceOracle(table, ctx);
+  KANON_CHECK(oracle.ok());
+  ReferenceSearch search(table, **oracle, k, max_nodes, ctx);
+  Partition incumbent = ClusterGreedyAnonymizer().Run(table, k, ctx).partition;
+  KANON_CHECK(!incumbent.groups.empty());
+  ImprovePartition(table, k, LocalSearchOptions{}, &incumbent);
+  const size_t incumbent_cost = PartitionCost(table, incumbent);
+  search.Run(incumbent, incumbent_cost);
+  AnonymizationResult result;
+  result.partition = search.best_partition();
+  result.cost = PartitionCost(table, result.partition);
+  KANON_CHECK_EQ(result.cost, search.best_cost());
+  result.notes = "nodes=" + std::to_string(search.nodes()) +
+                 (search.truncated() ? " TRUNCATED" : "");
+  return result;
+}
+
+// The production search against the reference on seeded tables that
+// span one to three mask words, weighted and unweighted, with starred
+// cells and duplicated rows, at budgets on both sides of the 64-node
+// stop stride, given as max_nodes or as the context's budget.
+// Partition, cost, notes (nodes= and TRUNCATED) and the nodes charged
+// to the context must all be identical.
+TEST(BranchBoundTest, MatchesReferenceSearch) {
+  constexpr uint32_t kColumns[] = {1, 3, 8, 63, 64, 65, 130};
+  constexpr size_t kBudgets[] = {1, 2, 63, 64, 65, 500, 2000};
+  constexpr uint64_t kTables = 210;
+  size_t truncated = 0;
+  size_t finished = 0;
+  for (uint64_t seed = 1; seed <= kTables; ++seed) {
+    Rng rng(seed, 0x7265666bull);  // "refk"
+    const size_t k = static_cast<size_t>(rng.UniformInt(1, 5));
+    const uint32_t n = static_cast<uint32_t>(
+        rng.UniformInt(std::max(3, static_cast<int>(k)), 28));
+    const uint32_t m = kColumns[seed % std::size(kColumns)];
+    Table t = UniformTable(
+        {.num_rows = n,
+         .num_columns = m,
+         .alphabet = static_cast<uint32_t>(rng.UniformInt(2, 6))},
+        &rng);
+    for (RowId r = 1; r < n; ++r) {
+      if (!rng.Bernoulli(0.2)) continue;
+      const RowId source = rng.Uniform(r);
+      for (ColId c = 0; c < m; ++c) t.set(r, c, t.at(source, c));
+    }
+    for (RowId r = 0; r < n; ++r) {
+      for (ColId c = 0; c < m; ++c) {
+        if (rng.Bernoulli(0.1)) t.set(r, c, kSuppressedCode);
+      }
+    }
+    if (seed % 3 == 0) {
+      std::vector<uint32_t> weights(n);
+      for (uint32_t& w : weights) w = rng.Uniform(4) + 1;
+      t.SetRowWeights(std::move(weights));
+    }
+    std::vector<size_t> budgets(std::begin(kBudgets), std::end(kBudgets));
+    if (n <= 12) budgets.push_back(0);  // unlimited
+    // Even tables give the budget to the context, odd ones as max_nodes.
+    const bool on_context = seed % 2 == 0;
+    for (const size_t budget : budgets) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " n=" + std::to_string(n) + " m=" + std::to_string(m) +
+                   " k=" + std::to_string(k) +
+                   " budget=" + std::to_string(budget) +
+                   (on_context ? " (context)" : " (max_nodes)"));
+      const size_t max_nodes = on_context ? 0 : budget;
+      RunContext ref_ctx;
+      RunContext ctx;
+      if (on_context) {
+        ref_ctx.set_node_budget(budget);
+        ctx.set_node_budget(budget);
+      }
+      const AnonymizationResult ref =
+          ReferenceBranchBound(t, k, max_nodes, &ref_ctx);
+      const AnonymizationResult got =
+          BranchBoundAnonymizer({.max_nodes = max_nodes}).Run(t, k, &ctx);
+      EXPECT_EQ(got.partition.groups, ref.partition.groups);
+      EXPECT_EQ(got.cost, ref.cost);
+      EXPECT_EQ(got.notes, ref.notes);
+      EXPECT_EQ(ctx.nodes_charged(), ref_ctx.nodes_charged());
+      EXPECT_EQ(ctx.stop_reason(), ref_ctx.stop_reason());
+      ++(ref.notes.find("TRUNCATED") == std::string::npos ? finished
+                                                           : truncated);
+    }
+  }
+  // Both cut and finished searches must have been compared.
+  EXPECT_GT(finished, 0u);
+  EXPECT_GT(truncated, 0u);
 }
 
 TEST(BranchBoundDeathTest, TooManyRowsDies) {

@@ -130,5 +130,16 @@ TEST(CommandLineTest, UnknownFlagsIgnoresPositionalsAndSorts) {
   EXPECT_EQ(unknown[1], "zeta");
 }
 
+TEST(CommandLineTest, CheckKnownFlagsNamesEveryUnknownFlag) {
+  const CommandLine cl = ParseArgs({"--n=4", "--zeta=1", "--alpha"});
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(CheckKnownFlags(cl, "exp_x", {"n"}));
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "exp_x: unknown flag --alpha\nexp_x: unknown flag --zeta\n");
+  ::testing::internal::CaptureStderr();
+  EXPECT_TRUE(CheckKnownFlags(cl, "exp_x", {"n", "zeta", "alpha"}));
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+}
+
 }  // namespace
 }  // namespace kanon
