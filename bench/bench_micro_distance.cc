@@ -60,9 +60,9 @@ BENCHMARK(BM_DistanceMatrixBuildScalarSeed)
     ->Complexity(benchmark::oNSquared);
 
 // The production path: the oracle's dense branch, a byte-cell strip fill
-// over the columnar mirror, parallel over rows (core/distance_oracle.cc).
-// The "Tiled" name is historical (the fill used to walk tile pairs); it
-// stays because ci.sh's A/B gate keys on it.
+// over the columnar mirror's byte plane (alphabet 8), parallel over rows
+// (core/distance_oracle.cc). The "Tiled" name is historical (the fill
+// used to walk tile pairs); it stays because ci.sh's A/B gate keys on it.
 void BM_DistanceMatrixBuildTiled(benchmark::State& state) {
   const Table t = MakeTable(state.range(0), 16);
   for (auto _ : state) {
@@ -75,6 +75,24 @@ BENCHMARK(BM_DistanceMatrixBuildTiled)
     ->Arg(256)->Arg(512)->Arg(1024)->Arg(2048)
     ->Unit(benchmark::kMillisecond)
     ->Complexity(benchmark::oNSquared);
+
+// The same table with every code moved past a byte, so the fill reads
+// the 4-byte columns: the path a table with a code of 255 or more takes.
+void BM_DistanceMatrixBuildWide(benchmark::State& state) {
+  Table t = MakeTable(state.range(0), 16);
+  for (RowId r = 0; r < t.num_rows(); ++r) {
+    for (ColId c = 0; c < t.num_columns(); ++c) {
+      t.set(r, c, t.at(r, c) + 256);
+    }
+  }
+  for (auto _ : state) {
+    const auto oracle = DistanceOracle::Create(t, {}, nullptr);
+    benchmark::DoNotOptimize((*oracle)->at(0, t.num_rows() - 1));
+  }
+}
+BENCHMARK(BM_DistanceMatrixBuildWide)
+    ->Arg(2048)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_OracleLookupDense(benchmark::State& state) {
   const Table t = MakeTable(state.range(0), 16);

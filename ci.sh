@@ -167,6 +167,7 @@ run_ckpt_drill() {
 AB_PAIRS=7
 AB_GATES=(
   "bench_micro_distance BM_DistanceMatrixBuildTiled/2048"
+  "bench_micro_distance BM_DistanceMatrixBuildWide/2048"
   "bench_micro_anonymizers BM_BranchBoundPool"
   "bench_micro_anonymizers BM_MdavCensus"
   "bench_micro_anonymizers BM_ResilientChain/22"
@@ -466,7 +467,8 @@ EOF
 
 echo "=== A/B gates vs HEAD~1: distance build, branch & bound pool, mdav, chain ==="
 # None may regress against the parent commit on this host (see run_ab):
-# the n = 2048 dense distance build, branch_bound on kanon_load's
+# the n = 2048 dense distance build on the byte plane and on 4-byte
+# codes (a table with a code of 255 or more), branch_bound on kanon_load's
 # 256-table pool at the 2000-node budget, mdav on a 2048-row census
 # table at k=5 (oracle build included), and the default resilient chain
 # on 32 tables of 22 rows (branch_bound answers) and of 40 rows

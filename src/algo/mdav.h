@@ -25,9 +25,12 @@
 /// codes are built once (after any resume) and decremented as rows are
 /// assigned, so each centroid is one pass over the distinct codes (ties
 /// to the lowest code, `*` last). The farthest-row scans read the
-/// columnar mirror one contiguous column at a time, and the k-1 nearest
-/// rows come from a partial sort of (distance, id) over the seed's
-/// DistanceOracle row.
+/// columnar mirror one contiguous column at a time. They read its byte
+/// plane (16 cells per SSE2 compare, byte distances) when the table has
+/// one and m <= 255, and the 4-byte codes otherwise; both are one
+/// template. The k-1 nearest rows are the first k-1 by (distance, id)
+/// over the seed's DistanceOracle row, kept in one reused buffer as the
+/// unassigned rows go by, so a group allocates nothing but itself.
 
 namespace kanon {
 

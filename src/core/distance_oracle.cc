@@ -18,18 +18,21 @@ using Cell = DistanceOracle::Cell;
 
 /// Strip fill of the all-pairs table: row a of the table is the sum
 /// over columns c of [column_c[b] != column_c[a]], accumulated one
-/// contiguous column at a time. Rows are distributed across workers by
-/// ParallelFor; every row costs the same, so the static split is
-/// balanced, and each cell is written by one worker only, so the result
-/// is bit-identical to the serial fill. `dist` must start zeroed. With a
-/// stopped context the unvisited rows are simply left zero — callers
-/// must check ctx->ShouldStop() and discard the partial table.
+/// contiguous column at a time from the packed columns in `Code` (the
+/// byte plane when the table has one, else the 4-byte codes). Rows are
+/// distributed across workers by ParallelFor; every row costs the same,
+/// so the static split is balanced, and each cell is written by one
+/// worker only, so the result is bit-identical to the serial fill.
+/// `dist` must start zeroed. With a stopped context the unvisited rows
+/// are simply left zero — callers must check ctx->ShouldStop() and
+/// discard the partial table.
+template <typename Code>
 void FillDistanceStrips(const PackedTable& packed, Cell* dist,
                         RunContext* ctx) {
   const RowId n = packed.num_rows();
-  std::vector<const ValueCode*> columns;
+  std::vector<const Code*> columns;
   for (ColId c = 0; c < packed.num_columns(); ++c) {
-    columns.push_back(packed.column(c).data());
+    columns.push_back(packed.codes<Code>(c).data());
   }
   // Chunks of 64 rows: a table that small fills inline, on the caller.
   ParallelFor(
@@ -45,7 +48,7 @@ void FillDistanceStrips(const PackedTable& packed, Cell* dist,
             if (ctx->ShouldStop()) return;
           }
           Cell* const row = dist + static_cast<size_t>(a) * n;
-          for (const ValueCode* column : columns) {
+          for (const Code* column : columns) {
             AddMismatches(column, column[a], n, row);
           }
         }
@@ -82,7 +85,12 @@ StatusOr<std::unique_ptr<DistanceOracle>> DistanceOracle::Create(
         "distance table allocation failed (bad_alloc)");
   }
   oracle->dense_ = true;
-  FillDistanceStrips(PackedTable(table), oracle->dist_.data(), ctx);
+  const PackedTable packed(table);
+  if (packed.has_byte_codes()) {
+    FillDistanceStrips<ByteCode>(packed, oracle->dist_.data(), ctx);
+  } else {
+    FillDistanceStrips<ValueCode>(packed, oracle->dist_.data(), ctx);
+  }
   if (ctx != nullptr && ctx->ShouldStop()) {
     // The partially filled table is discarded with the oracle.
     return StopReasonToStatus(ctx->stop_reason());

@@ -22,10 +22,13 @@
 ///     filled once row strip by row strip from the columnar mirror
 ///     (`PackedTable`): row a is the sum over columns c of
 ///     [column_c[b] != column_c[a]], in a loop the compiler vectorizes,
-///     with rows spread over the worker pool. Lookups are O(1). A table
-///     that cannot be allocated comes back as a typed StatusOr — never
-///     bad_alloc. The fill is cancellation-aware and probes the
-///     `distance.build` fault site once per row;
+///     with rows spread over the worker pool. The loop reads the
+///     mirror's byte plane (16 cells per SSE2 compare) when every code
+///     fits a byte, and its 4-byte codes otherwise (4 cells per compare);
+///     the two are one template. Lookups are O(1). A table that cannot
+///     be allocated comes back as a typed StatusOr — never bad_alloc. The
+///     fill is cancellation-aware and probes the `distance.build` fault
+///     site once per row;
 ///   * **on demand** (above the threshold, or more than 255 columns): no
 ///     table at all. Each lookup is `RowDistance`, O(m). Center scans
 ///     (mdav, cluster_greedy) read each row's distances once, so a cache

@@ -31,13 +31,16 @@ TEST(BranchBoundTest, ValidOnRandomTable) {
 
 // The central cross-check: branch & bound and the subset DP are
 // independent exact algorithms; they must agree on OPT everywhere.
+// gtest names each case by the struct's raw bytes, so it must have no
+// padding for the names to be stable.
 struct CrossCase {
   uint64_t seed;
   uint32_t n;
   uint32_t m;
-  uint32_t alphabet;
-  size_t k;
+  uint64_t alphabet;
+  uint64_t k;
 };
+static_assert(sizeof(CrossCase) == 4 * sizeof(uint64_t));
 
 class ExactCrossCheckTest : public ::testing::TestWithParam<CrossCase> {};
 
@@ -45,7 +48,10 @@ TEST_P(ExactCrossCheckTest, AgreesWithExactDp) {
   const CrossCase c = GetParam();
   Rng rng(c.seed);
   const Table t = UniformTable(
-      {.num_rows = c.n, .num_columns = c.m, .alphabet = c.alphabet}, &rng);
+      {.num_rows = c.n,
+       .num_columns = c.m,
+       .alphabet = static_cast<uint32_t>(c.alphabet)},
+      &rng);
   ExactDpAnonymizer dp;
   BranchBoundAnonymizer bb;
   const auto dp_result = ValidateResult(t, c.k, dp.Run(t, c.k));

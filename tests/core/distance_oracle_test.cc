@@ -6,6 +6,7 @@
 #include "core/bounds.h"
 #include "core/distance.h"
 #include "data/generators/uniform.h"
+#include "data/packed_table.h"
 #include "fault/fault.h"
 #include "gtest/gtest.h"
 #include "util/parallel.h"
@@ -18,6 +19,17 @@ Table MakeTable(RowId n, ColId m, uint64_t seed) {
   Rng rng(seed);
   return UniformTable({.num_rows = n, .num_columns = m, .alphabet = 4},
                       &rng);
+}
+
+// `t` with column `c`'s codes other than `*` moved past a byte (same
+// equalities, so same distances), which keeps the packed mirror off its
+// byte plane.
+Table ShiftPastByte(Table t, ColId c) {
+  for (RowId r = 0; r < t.num_rows(); ++r) {
+    if (t.at(r, c) != kSuppressedCode) t.set(r, c, t.at(r, c) + 1000);
+  }
+  EXPECT_FALSE(PackedTable(t).has_byte_codes());
+  return t;
 }
 
 // dense_threshold 0 forces the on-demand representation.
@@ -80,12 +92,14 @@ TEST(DistanceOracleTest, KnnLowerBoundAgreesAcrossRepresentations) {
 }
 
 TEST(DistanceOracleTest, CancelledBuildReturnsStopStatus) {
-  const Table t = MakeTable(48, 4, 8);
-  RunContext ctx;
-  ctx.RequestCancel();
-  const auto oracle = DistanceOracle::Create(t, {}, &ctx);
-  ASSERT_FALSE(oracle.ok());
-  EXPECT_EQ(oracle.status().code(), StatusCode::kCancelled);
+  const Table bytes = MakeTable(48, 4, 8);
+  for (const Table& t : {bytes, ShiftPastByte(bytes, 0)}) {
+    RunContext ctx;
+    ctx.RequestCancel();
+    const auto oracle = DistanceOracle::Create(t, {}, &ctx);
+    ASSERT_FALSE(oracle.ok());
+    EXPECT_EQ(oracle.status().code(), StatusCode::kCancelled);
+  }
 }
 
 // Restores the process-wide kernel parallelism on scope exit.
@@ -131,24 +145,28 @@ size_t CountMismatches(const Table& t, const DistanceOracle& oracle) {
   return mismatches;
 }
 
-// The strip fill works in 64-row blocks with a scalar tail, and splits
+// The strip fill works in 128-row blocks with a scalar tail, and splits
 // rows across workers: sizes on both sides of each block edge, widths up
-// to the largest distance a byte cell holds, and several worker counts.
+// to the largest distance a byte cell holds, and several worker counts,
+// each on the byte plane and again with one column's codes past a byte.
 TEST(DistanceOracleTest, DenseFillMatchesRowDistanceAtEdges) {
   for (const unsigned workers : {1u, 2u, 8u}) {
     const ParallelismGuard parallelism(workers);
     for (const RowId n :
-         {1u, 2u, 15u, 16u, 17u, 63u, 64u, 65u, 129u, 300u}) {
+         {1u, 2u, 15u, 16u, 17u, 63u, 64u, 65u, 127u, 128u, 129u, 300u}) {
       for (const ColId m : {1u, 3u, 8u, 17u, 255u}) {
-        const Table t = MakeStarredTable(n, m, 100 * n + m);
-        RunContext ctx;
-        const auto oracle = DistanceOracle::Create(t, {}, &ctx);
-        ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
-        ASSERT_TRUE((*oracle)->dense());
-        EXPECT_EQ(CountMismatches(t, **oracle), 0u)
-            << "n=" << n << " m=" << m << " workers=" << workers;
-        if (n >= 2) {
-          EXPECT_EQ((*oracle)->at(0, 1), m);
+        const Table bytes = MakeStarredTable(n, m, 100 * n + m);
+        for (const Table& t : {bytes, ShiftPastByte(bytes, m / 2)}) {
+          RunContext ctx;
+          const auto oracle = DistanceOracle::Create(t, {}, &ctx);
+          ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+          ASSERT_TRUE((*oracle)->dense());
+          EXPECT_EQ(CountMismatches(t, **oracle), 0u)
+              << "n=" << n << " m=" << m << " workers=" << workers
+              << " byte plane=" << PackedTable(t).has_byte_codes();
+          if (n >= 2) {
+            EXPECT_EQ((*oracle)->at(0, 1), m);
+          }
         }
       }
     }
@@ -200,21 +218,23 @@ TEST(DistanceOracleTest, FaultMidFillReturnsStopStatus) {
                         .probability = kProbability});
 
   const ParallelismGuard serial(1);  // rows are visited in order
-  const Table t = MakeTable(kRows, 5, 14);
-  RunContext ctx;
-  {
-    const ScopedFaultInjection injection(plan);
-    const auto oracle = DistanceOracle::Create(t, {}, &ctx);
-    ASSERT_FALSE(oracle.ok());
-    EXPECT_EQ(oracle.status().code(), StatusCode::kDeadlineExceeded);
-    for (const FaultSiteSnapshot& site :
-         FaultRegistry::Instance().Snapshot()) {
-      if (site.name != "distance.build") continue;
-      EXPECT_EQ(site.fires, 1u);
-      EXPECT_EQ(site.hits, fire_row + 1) << "the fill stops on that row";
+  const Table bytes = MakeTable(kRows, 5, 14);
+  for (const Table& t : {bytes, ShiftPastByte(bytes, 2)}) {
+    RunContext ctx;
+    {
+      const ScopedFaultInjection injection(plan);
+      const auto oracle = DistanceOracle::Create(t, {}, &ctx);
+      ASSERT_FALSE(oracle.ok());
+      EXPECT_EQ(oracle.status().code(), StatusCode::kDeadlineExceeded);
+      for (const FaultSiteSnapshot& site :
+           FaultRegistry::Instance().Snapshot()) {
+        if (site.name != "distance.build") continue;
+        EXPECT_EQ(site.fires, 1u);
+        EXPECT_EQ(site.hits, fire_row + 1) << "the fill stops on that row";
+      }
     }
+    EXPECT_EQ(ctx.stop_reason(), StopReason::kDeadline);
   }
-  EXPECT_EQ(ctx.stop_reason(), StopReason::kDeadline);
 }
 
 TEST(DistanceOracleTest, SharedOracleIsReusedAcrossCallers) {
