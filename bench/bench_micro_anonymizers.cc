@@ -136,6 +136,21 @@ void BM_ResilientChain(benchmark::State& state) {
 BENCHMARK(BM_ResilientChain)->Arg(22)->Arg(40)
     ->Unit(benchmark::kMillisecond);
 
+// The default resilient chain above branch_bound's row cap, where
+// cluster_greedy+local_search answers: one seeded 2048-row census table
+// (8 columns), k=5, no node budget, one Run per iteration on a fresh
+// context.
+void BM_ResilientCensus(benchmark::State& state) {
+  Rng rng(2048);
+  const Table t = CensusTable({.num_rows = 2048}, &rng);
+  for (auto _ : state) {
+    RunContext ctx;
+    FallbackAnonymizer chain;
+    benchmark::DoNotOptimize(chain.Run(t, 5, &ctx).cost);
+  }
+}
+BENCHMARK(BM_ResilientCensus)->Unit(benchmark::kMillisecond);
+
 // mdav on serve_bench's mdav_large request shape: one seeded 2048-row
 // census table (8 columns), k=5, one Run per iteration on a fresh
 // context, so the dense distance oracle's build is timed with the scans.

@@ -172,6 +172,7 @@ AB_GATES=(
   "bench_micro_anonymizers BM_MdavCensus"
   "bench_micro_anonymizers BM_ResilientChain/22"
   "bench_micro_anonymizers BM_ResilientChain/40"
+  "bench_micro_anonymizers BM_ResilientCensus"
 )
 run_ab() {
   local tree gate target bench
@@ -398,18 +399,19 @@ echo "=== overload goodput gate: open-loop brownout vs committed baseline ==="
 # Open-loop Poisson arrivals push the in-process service past
 # saturation while the overload plane (CoDel admission + brownout
 # ladder) defends goodput: answers delivered inside the deadline. The
-# tables have 512 rows, so cluster_greedy+local_search answers every
+# tables have 2048 rows, so cluster_greedy+local_search answers every
 # request (branch_bound declines above 28 rows), and the offered rate is
 # 100 rps per worker (hermetic kanon_load runs max(2, nproc) workers),
-# about twice what the service answers. The run must shed or brown out
-# something, or the stage is not overloading anything. The goodput gate
-# is loose (4x, shared-runner noise) but catches the plane silently
-# stopping to degrade — goodput under overload collapses without it.
-# The ledger must stay clean: every launched request is answered ok or
-# typed, zero protocol errors.
+# about three times what the service answers (512-row tables stopped
+# shedding once local search's probes went to column masks). The run
+# must shed or brown out something, or the stage is not overloading
+# anything. The goodput gate is loose (4x, shared-runner noise) but
+# catches the plane silently stopping to degrade — goodput under
+# overload collapses without it. The ledger must stay clean: every
+# launched request is answered ok or typed, zero protocol errors.
 OVERLOAD_WORKERS="$(nproc)"
 (( OVERLOAD_WORKERS >= 2 )) || OVERLOAD_WORKERS=2
-./build/examples/kanon_load --connections=16 --requests=300 --rows=512 \
+./build/examples/kanon_load --connections=16 --requests=300 --rows=2048 \
   --target-rps="$(( 100 * OVERLOAD_WORKERS ))" --deadline-ms=500 \
   --overload-target-ms=25 --brownout=auto --out=BENCH_overload.json \
   >/dev/null
@@ -471,8 +473,9 @@ echo "=== A/B gates vs HEAD~1: distance build, branch & bound pool, mdav, chain 
 # codes (a table with a code of 255 or more), branch_bound on kanon_load's
 # 256-table pool at the 2000-node budget, mdav on a 2048-row census
 # table at k=5 (oracle build included), and the default resilient chain
-# on 32 tables of 22 rows (branch_bound answers) and of 40 rows
-# (cluster_greedy+local_search answers).
+# on 32 tables of 22 rows (branch_bound answers), on 32 of 40 rows and
+# on one 2048-row census table at k=5 without a node budget (both
+# answered by cluster_greedy+local_search).
 run_ab
 
 echo "=== terminal-path guard: the suppress_all answer grows linearly ==="

@@ -1,7 +1,6 @@
 #include "algo/branch_bound.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -12,6 +11,7 @@
 #include "algo/local_search.h"
 #include "ckpt/checkpoint.h"
 #include "core/bounds.h"
+#include "core/column_mask.h"
 #include "core/cost.h"
 #include "core/distance_oracle.h"
 #include "fault/fault.h"
@@ -38,7 +38,7 @@ class Search {
   Search(const Table& table, const DistanceOracle& dm, size_t k,
          size_t max_nodes, RunContext* ctx)
       : n_(table.num_rows()),
-        words_((static_cast<size_t>(table.num_columns()) + 63) / 64),
+        words_(MaskWords(table.num_columns())),
         k_(k),
         max_nodes_(max_nodes),
         ctx_(ctx) {
@@ -56,11 +56,7 @@ class Search {
     for (RowId a = 0; a < n_; ++a) {
       const std::span<const ValueCode> anchor = table.row(a);
       for (RowId r = a + 1; r < n_; ++r) {
-        const std::span<const ValueCode> row = table.row(r);
-        uint64_t* mask = PairMask(a, r);
-        for (ColId c = 0; c < table.num_columns(); ++c) {
-          if (row[c] != anchor[c]) mask[c / 64] |= uint64_t{1} << (c % 64);
-        }
+        OrDiffMask(table.row(r), anchor, PairMask(a, r));
       }
     }
     masks_.assign((static_cast<size_t>(n_) + 1) * words_, 0);
@@ -182,10 +178,8 @@ class Search {
   /// Commits the group rows_[begin..], recurses, rolls back.
   void TryGroup(size_t begin, size_t weight, size_t group_lb) {
     if (NodeBudgetExceeded()) return;
-    const uint64_t* mask = MaskAt(rows_.size() - 1);
-    size_t disagreeing = 0;
-    for (size_t w = 0; w < words_; ++w) disagreeing += std::popcount(mask[w]);
-    const size_t group_cost = weight * disagreeing;
+    const size_t group_cost =
+        weight * MaskCount(MaskAt(rows_.size() - 1), words_);
     // Prune: committed cost + this group + LB of what remains.
     const size_t projected =
         current_cost_ + group_cost + (remaining_lb_ - group_lb);

@@ -10,7 +10,9 @@
 /// the group's ANON cost the least, until the group has k members.
 /// Leftover rows (< k of them) are folded into the group whose cost
 /// grows least. A strong practical competitor on clustered data. It polls
-/// its context once per group; a stop returns an empty partition.
+/// its context once per group; a stop returns an empty partition. The
+/// seed scan reads the distance oracle; a pick probes each candidate on
+/// column bit masks (core/column_mask.h) in O(ceil(m/64)).
 
 namespace kanon {
 

@@ -1,17 +1,209 @@
 #include "algo/local_search.h"
 
 #include <algorithm>
-#include <numeric>
+#include <bit>
 #include <optional>
+#include <span>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "ckpt/checkpoint.h"
+#include "core/column_mask.h"
 #include "core/cost.h"
-#include "core/group_stats.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
 namespace kanon {
+
+namespace {
+
+/// Column-state masks of every group of a partition, each ⌈m/64⌉ words
+/// (core/column_mask.h). ANON(S) depends on S only through its
+/// disagreeing columns, so with these every MOVE and SWAP probe below is
+/// a few word operations and popcounts, and returns the exact integer a
+/// rescan would: accept/reject decisions and tie-breaks are the same.
+/// Per group: `one` and `two`, the columns where the members hold one
+/// distinct code and two (the other `num_multi` hold three or more),
+/// and per column the first member's code and the next distinct one
+/// (`second` == `first` on a one-code column), against which a row is
+/// classified (Classify). Per row, for the group holding it: `sole`,
+/// the columns where its code is the group's only copy, and
+/// `holds_first`, those where it holds `first`.
+class GroupMasks {
+ public:
+  GroupMasks(const Table& table, const std::vector<Group>& groups)
+      : table_(table),
+        groups_(groups),
+        m_(table.num_columns()),
+        words_(MaskWords(m_)),
+        weight_(groups.size()),
+        num_two_(groups.size()),
+        num_multi_(groups.size()),
+        one_(groups.size() * words_),
+        two_(groups.size() * words_),
+        first_(groups.size() * m_),
+        second_(groups.size() * m_),
+        sole_(static_cast<size_t>(table.num_rows()) * words_),
+        holds_first_(static_cast<size_t>(table.num_rows()) * words_) {
+    for (size_t g = 0; g < groups.size(); ++g) Rebuild(g);
+  }
+
+  size_t words() const { return words_; }
+  size_t cost(size_t g) const {
+    return weight_[g] * (num_two_[g] + num_multi_[g]);
+  }
+
+  /// Recomputes group g's masks, and its members', from groups[g]
+  /// (non-empty). O(|g| * m).
+  void Rebuild(size_t g) {
+    const Group& rows = groups_[g];
+    rows_.clear();
+    weight_[g] = 0;
+    for (const RowId r : rows) {
+      rows_.push_back(table_.row(r).data());
+      weight_[g] += table_.row_weight(r);
+      std::fill_n(Sole(r), words_, 0);
+      std::fill_n(HoldsFirst(r), words_, 0);
+    }
+    uint64_t* const one = one_.data() + g * words_;
+    uint64_t* const two = two_.data() + g * words_;
+    std::fill_n(one, words_, 0);
+    std::fill_n(two, words_, 0);
+    num_multi_[g] = 0;
+    slot_.resize(rows.size());
+    for (ColId c = 0; c < m_; ++c) {
+      distinct_.clear();
+      for (size_t i = 0; i < rows.size(); ++i) {
+        const ValueCode code = rows_[i][c];
+        size_t d = 0;
+        while (d < distinct_.size() && distinct_[d].first != code) ++d;
+        if (d == distinct_.size()) distinct_.emplace_back(code, 0);
+        ++distinct_[d].second;
+        slot_[i] = static_cast<uint32_t>(d);
+      }
+      const uint64_t bit = uint64_t{1} << (c % 64);
+      first_[g * m_ + c] = distinct_[0].first;
+      second_[g * m_ + c] = distinct_[distinct_.size() > 1 ? 1 : 0].first;
+      if (distinct_.size() == 1) {
+        one[c / 64] |= bit;
+      } else if (distinct_.size() == 2) {
+        two[c / 64] |= bit;
+      } else {
+        ++num_multi_[g];
+      }
+      for (size_t i = 0; i < rows.size(); ++i) {
+        if (distinct_[slot_[i]].second == 1) Sole(rows[i])[c / 64] |= bit;
+        if (slot_[i] == 0) HoldsFirst(rows[i])[c / 64] |= bit;
+      }
+    }
+    num_two_[g] = MaskCount(two, words_);
+  }
+
+  /// Classifies `row` against group g into out[0 .. 2 * words()):
+  /// first the columns where its code is none of the group's (exact on
+  /// g's one- and two-code columns, the only ones read), then those
+  /// where it holds g's first code.
+  void Classify(RowId row, size_t g, uint64_t* out) const {
+    const ValueCode* const codes = table_.row(row).data();
+    const ValueCode* const first = first_.data() + g * m_;
+    const ValueCode* const second = second_.data() + g * m_;
+    std::fill_n(out, 2 * words_, 0);
+    for (ColId c = 0; c < m_; ++c) {
+      const ValueCode code = codes[c];
+      out[c / 64] |= static_cast<uint64_t>(code != first[c] &&
+                                           code != second[c])
+                     << (c % 64);
+      out[words_ + c / 64] |= static_cast<uint64_t>(code == first[c])
+                              << (c % 64);
+    }
+  }
+
+  /// ANON(g + row), for `in` = Classify(row, g): a one-code column
+  /// starts disagreeing where the row's code is absent.
+  size_t CostWith(size_t g, RowId row, const uint64_t* in) const {
+    const uint64_t* const one = one_.data() + g * words_;
+    size_t d = num_two_[g] + num_multi_[g];
+    for (size_t w = 0; w < words_; ++w) d += std::popcount(one[w] & in[w]);
+    return (weight_[g] + table_.row_weight(row)) * d;
+  }
+
+  /// ANON(g - member): a two-code column stops disagreeing where the
+  /// member held the only copy of its code.
+  size_t CostWithout(size_t g, RowId member) const {
+    const uint64_t* const two = two_.data() + g * words_;
+    const uint64_t* const sole = Sole(member);
+    size_t d = num_multi_[g];
+    for (size_t w = 0; w < words_; ++w) {
+      d += std::popcount(two[w] & ~sole[w]);
+    }
+    return (weight_[g] - table_.row_weight(member)) * d;
+  }
+
+  /// ANON(g - out + in_row), for `in` = Classify(in_row, g). A column of
+  /// three or more codes keeps two. A two-code column stops disagreeing
+  /// exactly where `out` held the only copy of one code and the new row
+  /// holds the other. A one-code column starts disagreeing exactly where
+  /// the new row's code is absent and `out` was not the only member.
+  size_t CostReplacing(size_t g, RowId out, RowId in_row,
+                       const uint64_t* in) const {
+    const uint64_t* const one = one_.data() + g * words_;
+    const uint64_t* const two = two_.data() + g * words_;
+    const uint64_t* const sole = Sole(out);
+    const uint64_t* const holds_first = HoldsFirst(out);
+    size_t d = num_two_[g] + num_multi_[g];
+    for (size_t w = 0; w < words_; ++w) {
+      const uint64_t absent = in[w];
+      const uint64_t other = holds_first[w] ^ in[words_ + w];
+      d -= std::popcount(two[w] & sole[w] & ~absent & other);
+      d += std::popcount(one[w] & absent & ~sole[w]);
+    }
+    return (weight_[g] - table_.row_weight(out) +
+            table_.row_weight(in_row)) *
+           d;
+  }
+
+  /// A lower bound on ANON(a') + ANON(b') after any swap between groups
+  /// a and b, for `b0_in_a` = Classify(groups[b][0], a). Every row
+  /// weighs at least 1, a column of three or more codes keeps two, and
+  /// when both groups have two or more rows, a column where they are
+  /// pure on different codes disagrees in both.
+  size_t SwapLowerBound(size_t a, size_t b, const uint64_t* b0_in_a) const {
+    size_t bound = groups_[a].size() * num_multi_[a] +
+                   groups_[b].size() * num_multi_[b];
+    if (groups_[a].size() < 2 || groups_[b].size() < 2) return bound;
+    const uint64_t* const one_a = one_.data() + a * words_;
+    const uint64_t* const one_b = one_.data() + b * words_;
+    size_t split = 0;
+    for (size_t w = 0; w < words_; ++w) {
+      split += std::popcount(one_a[w] & one_b[w] & b0_in_a[w]);
+    }
+    return bound + (weight_[a] + weight_[b]) * split;
+  }
+
+ private:
+  uint64_t* Sole(RowId r) { return sole_.data() + r * words_; }
+  const uint64_t* Sole(RowId r) const { return sole_.data() + r * words_; }
+  uint64_t* HoldsFirst(RowId r) { return holds_first_.data() + r * words_; }
+  const uint64_t* HoldsFirst(RowId r) const {
+    return holds_first_.data() + r * words_;
+  }
+
+  const Table& table_;
+  const std::vector<Group>& groups_;
+  const ColId m_;
+  const size_t words_;
+  std::vector<size_t> weight_, num_two_, num_multi_;
+  std::vector<uint64_t> one_, two_;
+  std::vector<ValueCode> first_, second_;
+  std::vector<uint64_t> sole_, holds_first_;
+  // Rebuild's buffers.
+  std::vector<const ValueCode*> rows_;
+  std::vector<std::pair<ValueCode, uint32_t>> distinct_;
+  std::vector<uint32_t> slot_;
+};
+
+}  // namespace
 
 size_t ImprovePartition(const Table& table, size_t k,
                         const LocalSearchOptions& options,
@@ -43,18 +235,21 @@ size_t ImprovePartition(const Table& table, size_t k,
   KANON_CHECK(IsValidPartition(*partition, table.num_rows(), k,
                                table.num_rows()));
   std::vector<Group>& groups = partition->groups;
-  // Incremental per-group statistics: every candidate probe below is an
-  // O(m) GroupStats what-if instead of an O(|group| m) rescan, and the
-  // probes return the exact AnonCost integers, so accept/reject
-  // decisions and tie-breaks match the rescanning implementation
-  // move-for-move.
-  std::vector<GroupStats> stats;
-  stats.reserve(groups.size());
-  std::vector<size_t> cost(groups.size());
-  for (size_t g = 0; g < groups.size(); ++g) {
-    stats.emplace_back(table, groups[g]);
-    cost[g] = stats[g].anon_cost();
-  }
+  GroupMasks masks(table, groups);
+  const size_t words = masks.words();
+  // Rows classified against a group (GroupMasks::Classify), 2 * words
+  // each: `in` for MOVE; for SWAP, b's rows against a and a's rows
+  // against b, once per group pair and again after each applied swap.
+  std::vector<uint64_t> in(2 * words);
+  std::vector<uint64_t> b_in_a;
+  std::vector<uint64_t> a_in_b;
+  const auto classify_all = [&](size_t from, size_t into,
+                                std::vector<uint64_t>* out) {
+    out->resize(groups[from].size() * 2 * words);
+    for (size_t i = 0; i < groups[from].size(); ++i) {
+      masks.Classify(groups[from][i], into, out->data() + i * 2 * words);
+    }
+  };
 
   const auto stop = [&] {
     if (ctx == nullptr) return false;
@@ -66,10 +261,12 @@ size_t ImprovePartition(const Table& table, size_t k,
   for (size_t pass = start_pass; pass < options.max_passes && !stop();
        ++pass) {
     if (ctx != nullptr && ctx->CheckpointDue()) {
+      size_t total = 0;
+      for (size_t g = 0; g < groups.size(); ++g) total += masks.cost(g);
       CheckpointWriter w;
       w.PutU64(pass);
       w.PutU64(applied);
-      w.PutU64(std::accumulate(cost.begin(), cost.end(), size_t{0}));
+      w.PutU64(total);
       w.PutPartition(*partition);
       (void)ctx->EmitCheckpoint("local_search", w.bytes());
     }
@@ -79,13 +276,14 @@ size_t ImprovePartition(const Table& table, size_t k,
       if (groups[a].size() <= k) continue;
       for (size_t i = 0; i < groups[a].size(); ++i) {
         const RowId row = groups[a][i];
-        const size_t a_without = stats[a].CostWithout(row);
+        const size_t a_without = masks.CostWithout(a, row);
         size_t best_b = groups.size();
         size_t best_delta_gain = 0;
         for (size_t b = 0; b < groups.size(); ++b) {
           if (b == a) continue;
-          const size_t b_with = stats[b].CostWith(row);
-          const size_t before = cost[a] + cost[b];
+          masks.Classify(row, b, in.data());
+          const size_t b_with = masks.CostWith(b, row, in.data());
+          const size_t before = masks.cost(a) + masks.cost(b);
           const size_t after = a_without + b_with;
           if (after < before) {
             const size_t gain = before - after;
@@ -98,10 +296,8 @@ size_t ImprovePartition(const Table& table, size_t k,
         if (best_b != groups.size()) {
           groups[best_b].push_back(row);
           groups[a].erase(groups[a].begin() + static_cast<ptrdiff_t>(i));
-          stats[best_b].Add(row);
-          stats[a].Remove(row);
-          cost[a] = stats[a].anon_cost();
-          cost[best_b] = stats[best_b].anon_cost();
+          masks.Rebuild(a);
+          masks.Rebuild(best_b);
           ++applied;
           improved = true;
           if (groups[a].size() <= k) break;
@@ -112,20 +308,27 @@ size_t ImprovePartition(const Table& table, size_t k,
     // SWAP: exchange rows between two groups.
     for (size_t a = 0; a < groups.size() && !stop(); ++a) {
       for (size_t b = a + 1; b < groups.size(); ++b) {
+        classify_all(b, a, &b_in_a);
+        // No swap of a pair at or above this bound can apply.
+        if (masks.SwapLowerBound(a, b, b_in_a.data()) >=
+            masks.cost(a) + masks.cost(b)) {
+          continue;
+        }
+        classify_all(a, b, &a_in_b);
         for (size_t i = 0; i < groups[a].size(); ++i) {
           for (size_t j = 0; j < groups[b].size(); ++j) {
             const RowId row_a = groups[a][i];
             const RowId row_b = groups[b][j];
-            const size_t a_new = stats[a].CostReplacing(row_a, row_b);
-            const size_t b_new = stats[b].CostReplacing(row_b, row_a);
-            if (a_new + b_new < cost[a] + cost[b]) {
+            const size_t a_new = masks.CostReplacing(
+                a, row_a, row_b, b_in_a.data() + j * 2 * words);
+            const size_t b_new = masks.CostReplacing(
+                b, row_b, row_a, a_in_b.data() + i * 2 * words);
+            if (a_new + b_new < masks.cost(a) + masks.cost(b)) {
               std::swap(groups[a][i], groups[b][j]);
-              stats[a].Remove(row_a);
-              stats[a].Add(row_b);
-              stats[b].Remove(row_b);
-              stats[b].Add(row_a);
-              cost[a] = a_new;
-              cost[b] = b_new;
+              masks.Rebuild(a);
+              masks.Rebuild(b);
+              classify_all(b, a, &b_in_a);
+              classify_all(a, b, &a_in_b);
               ++applied;
               improved = true;
             }

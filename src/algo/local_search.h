@@ -15,6 +15,10 @@
 ///     group;
 ///   * SWAP  — exchange two rows between different groups.
 ///
+/// Every probe is evaluated on per-group column bit masks
+/// (core/column_mask.h) and returns the exact ANON integers, so the
+/// moves are those of a rescanning implementation.
+///
 /// Both preserve the >= k group-size invariant, so every intermediate
 /// state is a valid k-anonymization and the final cost is <= the input
 /// cost. Used standalone (wrapping a base algorithm) and as the
@@ -24,8 +28,10 @@ namespace kanon {
 
 /// Configuration for LocalSearchAnonymizer and ImprovePartition.
 struct LocalSearchOptions {
-  /// Max full passes over all (row, group) pairs; each pass is
-  /// O(n * groups * k * m). 0 disables improvement entirely.
+  /// Max full passes; 0 disables improvement entirely. With g groups of
+  /// about s rows, a pass's SWAP scan is O(g^2 * s * m) to classify
+  /// each pair's rows plus O(g^2 * s^2 * ceil(m/64)) for its probes, and
+  /// its MOVE scan O(g * m) per row of a group above k rows.
   size_t max_passes = 64;
 };
 

@@ -20,8 +20,8 @@ namespace kanon {
 
 namespace {
 
-/// A farthest scan's distance counter: one byte on the byte plane,
-/// which mdav scans only when m <= 255, else a ColId.
+/// A scan's distance counter: one byte on the byte plane, which mdav
+/// scans only when m <= 255, else a ColId.
 template <typename Code>
 using ScanCount =
     std::conditional_t<std::is_same_v<Code, ByteCode>, uint8_t, ColId>;
@@ -134,15 +134,21 @@ class Scans {
 
   /// Farthest unassigned row from row `r`.
   RowId FarthestFromRow(RowId r) {
-    center_.clear();
-    for (const Code* column : columns_) center_.push_back(column[r]);
+    CenterOnRow(r);
     return FarthestFromCenter();
   }
 
   /// Groups `seed` with its k-1 nearest unassigned rows by (distance,
-  /// id), read from the seed's oracle row, marks the group assigned and
-  /// returns it.
+  /// id), marks the group assigned and returns it. The distances are the
+  /// seed's oracle row when the oracle is dense; on demand, where each
+  /// lookup is a row-major RowDistance, they are the seed's row from the
+  /// packed columns, as in the farthest scans.
   Group TakeGroupAround(RowId seed, size_t k) {
+    const bool dense = dm_.dense();
+    if (!dense) {
+      CenterOnRow(seed);
+      FillDistances();
+    }
     // `near_` keeps the first k-1 rows by (distance, id) seen so far.
     // `live_` is ascending, so a row goes after every kept row of its
     // distance, and once k-1 are kept only a row nearer than the last
@@ -150,7 +156,7 @@ class Scans {
     near_.clear();
     ColId bound = k == 1 ? 0 : std::numeric_limits<ColId>::max();
     for (const RowId r : live_) {
-      const ColId d = dm_.at(seed, r);
+      const ColId d = dense ? dm_.at(seed, r) : dist_[r];
       if (d >= bound || r == seed) continue;
       if (near_.size() == k - 1) near_.pop_back();
       near_.insert(std::upper_bound(near_.begin(), near_.end(), d,
@@ -171,14 +177,25 @@ class Scans {
   }
 
  private:
-  /// Farthest row of `live_` from `center_` in Hamming distance, lowest
-  /// id on ties. The distances accumulate one packed column at a time,
-  /// so the scan reads contiguous codes.
-  RowId FarthestFromCenter() {
+  void CenterOnRow(RowId r) {
+    center_.clear();
+    for (const Code* column : columns_) center_.push_back(column[r]);
+  }
+
+  /// dist_[r]: the Hamming distance from `center_` to every row r,
+  /// accumulated one packed column at a time, so the scan reads
+  /// contiguous codes.
+  void FillDistances() {
     dist_.assign(n_, 0);
     for (size_t c = 0; c < columns_.size(); ++c) {
       AddMismatches(columns_[c], center_[c], n_, dist_.data());
     }
+  }
+
+  /// Farthest row of `live_` from `center_` in Hamming distance, lowest
+  /// id on ties.
+  RowId FarthestFromCenter() {
+    FillDistances();
     RowId best = live_.front();
     ScanCount<Code> best_distance = dist_[best];
     for (const RowId r : live_) {

@@ -29,8 +29,10 @@
 /// plane (16 cells per SSE2 compare, byte distances) when the table has
 /// one and m <= 255, and the 4-byte codes otherwise; both are one
 /// template. The k-1 nearest rows are the first k-1 by (distance, id)
-/// over the seed's DistanceOracle row, kept in one reused buffer as the
-/// unassigned rows go by, so a group allocates nothing but itself.
+/// over the seed's DistanceOracle row when the oracle is dense, and over
+/// the seed's row from the columnar mirror when it is on demand (above
+/// 4096 rows), kept in one reused buffer as the unassigned rows go by,
+/// so a group allocates nothing but itself.
 
 namespace kanon {
 

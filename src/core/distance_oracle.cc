@@ -1,6 +1,7 @@
 #include "core/distance_oracle.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <new>
 #include <utility>
@@ -111,12 +112,25 @@ ColId DistanceOracle::Diameter(std::span<const RowId> rows) const {
 ColId DistanceOracle::KthNearestDistance(RowId row, RowId j) const {
   KANON_CHECK_GE(j, 1u);
   KANON_CHECK_LT(j, n_);
-  std::vector<ColId> dist(n_);
-  for (RowId x = 0; x < n_; ++x) dist[x] = at(row, x);
-  // at(row, row) = 0 is a minimum of the row, so the j-th smallest
-  // distance to another row is the (j+1)-th smallest entry overall.
-  std::nth_element(dist.begin(), dist.begin() + j, dist.end());
-  return dist[j];
+  // A distance is an integer in [0, m], so counting the row's distances
+  // by value finds the j-th smallest in O(n + m), with no allocation
+  // below 256 columns. at(row, row) = 0 is a minimum of the row, so the
+  // j-th smallest distance to another row is the (j+1)-th smallest
+  // entry overall.
+  const size_t values = static_cast<size_t>(table_.num_columns()) + 1;
+  std::array<RowId, 256> small;
+  std::vector<RowId> large;
+  RowId* count = small.data();
+  if (values > small.size()) {
+    large.resize(values);
+    count = large.data();
+  }
+  std::fill_n(count, values, RowId{0});
+  for (RowId x = 0; x < n_; ++x) ++count[at(row, x)];
+  RowId seen = 0;
+  ColId d = 0;
+  while ((seen += count[d]) <= j) ++d;
+  return d;
 }
 
 namespace {

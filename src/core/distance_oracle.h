@@ -84,7 +84,8 @@ class DistanceOracle {
   ColId Diameter(std::span<const RowId> rows) const;
 
   /// Distance from `row` to its j-th nearest *other* row, i.e. the j-th
-  /// order statistic of {at(row, x) : x != row}. Used by the k-nearest-
+  /// order statistic of {at(row, x) : x != row}, found by counting the
+  /// row's distances by value in O(n + m). Used by the k-nearest-
   /// neighbour lower bound. Requires 1 <= j <= n-1.
   ColId KthNearestDistance(RowId row, RowId j) const;
 

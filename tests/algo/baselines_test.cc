@@ -4,7 +4,12 @@
 #include "algo/random_partition.h"
 #include "algo/suppress_all.h"
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/distance_oracle.h"
+#include "core/group_stats.h"
 #include "data/generators/census.h"
 #include "data/generators/clustered.h"
 #include "data/generators/uniform.h"
@@ -98,6 +103,143 @@ TEST(ClusterGreedyTest, StopsWithOracleCachedAndDeadlineExpired) {
   const AnonymizationResult result = algo.Run(t, 3, &ctx);
   EXPECT_TRUE(result.partition.groups.empty());
   EXPECT_EQ(result.termination, StopReason::kDeadline);
+}
+
+// ClusterGreedyAnonymizer::Run as it was before its picks went to
+// column masks: one GroupStats per group, and every candidate an O(m)
+// CostWith walk of its per-column (code, count) lists. Kept here as the
+// reference the production greedy must match pick for pick.
+AnonymizationResult ReferenceClusterGreedy(const Table& table, size_t k,
+                                           RunContext* ctx) {
+  const RowId n = table.num_rows();
+  const auto oracle = SharedDistanceOracle(table, ctx);
+  KANON_CHECK(oracle.ok());
+  const DistanceOracle& dm = **oracle;
+  std::vector<bool> assigned(n, false);
+  size_t unassigned = n;
+  AnonymizationResult result;
+  std::vector<GroupStats> stats;
+  RowId seed = 0;
+  while (unassigned >= k) {
+    if (ctx->ShouldStop()) {
+      return StoppedResult(*ctx, 0.0,
+                           "stopped with " + std::to_string(unassigned) +
+                               " rows unassigned");
+    }
+    RowId far = n;
+    ColId far_dist = 0;
+    for (RowId r = 0; r < n; ++r) {
+      if (assigned[r]) continue;
+      const ColId d = result.partition.groups.empty() && r == 0
+                          ? 0
+                          : dm.at(seed, r);
+      if (far == n || d > far_dist) {
+        far = r;
+        far_dist = d;
+      }
+    }
+    seed = far;
+    Group group = {seed};
+    GroupStats group_stats(table);
+    group_stats.Add(seed);
+    assigned[seed] = true;
+    --unassigned;
+    while (group.size() < k) {
+      RowId best = n;
+      size_t best_cost = 0;
+      for (RowId r = 0; r < n; ++r) {
+        if (assigned[r]) continue;
+        const size_t c = group_stats.CostWith(r);
+        if (best == n || c < best_cost) {
+          best = r;
+          best_cost = c;
+        }
+      }
+      group.push_back(best);
+      group_stats.Add(best);
+      assigned[best] = true;
+      --unassigned;
+    }
+    result.partition.groups.push_back(std::move(group));
+    stats.push_back(std::move(group_stats));
+  }
+  for (RowId r = 0; r < n; ++r) {
+    if (assigned[r]) continue;
+    size_t best_group = 0;
+    size_t best_delta = 0;
+    bool first = true;
+    for (size_t g = 0; g < stats.size(); ++g) {
+      const size_t delta = stats[g].CostWith(r) - stats[g].anon_cost();
+      if (first || delta < best_delta) {
+        first = false;
+        best_group = g;
+        best_delta = delta;
+      }
+    }
+    result.partition.groups[best_group].push_back(r);
+    stats[best_group].Add(r);
+    assigned[r] = true;
+  }
+  FinalizeResult(table, &result);
+  result.notes = "groups=" + std::to_string(result.partition.num_groups());
+  return result;
+}
+
+// The production greedy against the reference on seeded tables of one
+// to three mask words, with starred cells, duplicated rows, codes far
+// above the alphabet and, on a third, row weights; n is rarely a
+// multiple of k, so leftovers are folded. Odd seeds read an on-demand
+// oracle. Partition, cost, notes and termination must be equal.
+TEST(ClusterGreedyTest, MatchesReferenceGreedy) {
+  constexpr ColId kColumns[] = {1, 3, 8, 63, 64, 65, 130};
+  for (uint64_t seed = 1; seed <= 140; ++seed) {
+    Rng rng(seed, /*stream=*/0x63677266ull);  // "cgrf"
+    const size_t k = static_cast<size_t>(rng.UniformInt(1, 6));
+    const ColId m = kColumns[seed % std::size(kColumns)];
+    const int max_rows = seed % 3 == 1 ? static_cast<int>(4 * k + 3) : 300;
+    const auto n = static_cast<RowId>(
+        rng.UniformInt(static_cast<int>(k), max_rows));
+    const auto alphabet = static_cast<uint32_t>(rng.UniformInt(2, 6));
+    Table t = UniformTable(
+        {.num_rows = n, .num_columns = m, .alphabet = alphabet}, &rng);
+    const bool sparse = seed % 4 == 1;
+    for (RowId r = 0; r < n; ++r) {
+      if (r > 0 && rng.Bernoulli(0.1)) {
+        const RowId source = rng.Uniform(r);
+        for (ColId c = 0; c < m; ++c) t.set(r, c, t.at(source, c));
+        continue;
+      }
+      for (ColId c = 0; c < m; ++c) {
+        if (rng.Bernoulli(0.1)) {
+          t.set(r, c, kSuppressedCode);
+        } else if (sparse) {
+          t.set(r, c, 100000 + 7919 * t.at(r, c));
+        }
+      }
+    }
+    if (seed % 3 == 0) {
+      std::vector<uint32_t> weights(n);
+      for (uint32_t& w : weights) w = 1 + rng.Uniform(5);
+      t.SetRowWeights(std::move(weights));
+    }
+    RunContext ref_ctx;
+    RunContext ctx;
+    if (seed % 2 == 1) {
+      ASSERT_TRUE(
+          SharedDistanceOracle(t, &ref_ctx, {.dense_threshold = 0}).ok());
+      ASSERT_TRUE(SharedDistanceOracle(t, &ctx, {.dense_threshold = 0}).ok());
+    }
+    const AnonymizationResult expected = ReferenceClusterGreedy(t, k, &ref_ctx);
+    const AnonymizationResult got = ClusterGreedyAnonymizer().Run(t, k, &ctx);
+    const std::string where = "seed=" + std::to_string(seed) +
+                              " n=" + std::to_string(n) +
+                              " m=" + std::to_string(m) +
+                              " k=" + std::to_string(k);
+    EXPECT_EQ(got.partition.groups, expected.partition.groups) << where;
+    EXPECT_EQ(got.cost, expected.cost) << where;
+    EXPECT_EQ(got.notes, expected.notes) << where;
+    EXPECT_EQ(got.termination, expected.termination) << where;
+  }
 }
 
 TEST(RandomPartitionTest, ValidAndDeterministic) {

@@ -7,11 +7,13 @@
 
 #include "algo/exact_dp.h"
 #include "core/distance.h"
+#include "core/distance_oracle.h"
 #include "data/generators/census.h"
 #include "data/generators/clustered.h"
 #include "data/generators/uniform.h"
 #include "gtest/gtest.h"
 #include "util/random.h"
+#include "util/run_context.h"
 
 namespace kanon {
 namespace {
@@ -207,6 +209,59 @@ TEST(MdavTest, MatchesReferenceScanOnAwkwardTables) {
     EXPECT_EQ(result.partition.groups, expected.groups)
         << "seed " << seed << ": n=" << n << " m=" << m << " k=" << k
         << " alphabet=" << alphabet;
+  }
+}
+
+// MatchesReferenceScanOnAwkwardTables' table for `seed`, and its k.
+Table AwkwardTable(uint64_t seed, size_t* k) {
+  Rng rng(seed, /*stream=*/0x6d646176ull);  // "mdav"
+  *k = static_cast<size_t>(rng.UniformInt(1, 6));
+  const int max_rows = seed % 2 == 0 ? 300 : static_cast<int>(4 * *k + 3);
+  const auto n = static_cast<RowId>(rng.UniformInt(static_cast<int>(*k),
+                                                   max_rows));
+  const auto m = static_cast<ColId>(rng.UniformInt(1, 9));
+  const auto alphabet = static_cast<uint32_t>(rng.UniformInt(2, 6));
+  Table t = UniformTable(
+      {.num_rows = n, .num_columns = m, .alphabet = alphabet}, &rng);
+  const bool sparse = seed % 4 == 1;
+  for (RowId r = 0; r < n; ++r) {
+    if (r > 0 && rng.Bernoulli(0.1)) {
+      const RowId source = rng.Uniform(r);
+      for (ColId c = 0; c < m; ++c) t.set(r, c, t.at(source, c));
+      continue;
+    }
+    for (ColId c = 0; c < m; ++c) {
+      if (rng.Bernoulli(0.1)) {
+        t.set(r, c, kSuppressedCode);
+      } else if (sparse) {
+        t.set(r, c, 100000 + 7919 * t.at(r, c));
+      }
+    }
+  }
+  if (seed % 3 == 0) {
+    std::vector<uint32_t> weights(n);
+    for (uint32_t& w : weights) w = 1 + rng.Uniform(5);
+    t.SetRowWeights(std::move(weights));
+  }
+  return t;
+}
+
+// The same tables and reference with the on-demand oracle (the branch
+// above 4096 rows) seeded on the run's context, so the k-1 nearest come
+// from the packed columns instead of the oracle's rows.
+TEST(MdavTest, MatchesReferenceScanOnDemandOracle) {
+  for (uint64_t seed = 1; seed <= 240; ++seed) {
+    size_t k = 0;
+    const Table t = AwkwardTable(seed, &k);
+    RunContext ctx;
+    const auto oracle = SharedDistanceOracle(t, &ctx, {.dense_threshold = 0});
+    ASSERT_TRUE(oracle.ok());
+    ASSERT_FALSE((*oracle)->dense());
+    const Partition expected = ReferenceMdav(t, k);
+    const AnonymizationResult result = MdavAnonymizer().Run(t, k, &ctx);
+    EXPECT_EQ(result.partition.groups, expected.groups)
+        << "seed " << seed << ": n=" << t.num_rows()
+        << " m=" << t.num_columns() << " k=" << k;
   }
 }
 

@@ -1,5 +1,6 @@
 #include "core/distance_oracle.h"
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -75,6 +76,35 @@ TEST(DistanceOracleTest, OnDemandPathMatchesMatrixExactly) {
     for (RowId j = 1; j < 5; ++j) {
       EXPECT_EQ((*oracle)->KthNearestDistance(r, j),
                 (*dense)->KthNearestDistance(r, j));
+    }
+  }
+}
+
+// KthNearestDistance against a sort of the row's distances to the
+// other rows, on both representations, for the nearest and the farthest
+// other row (j = 1 and j = n - 1) and k - 1 = 2, with `*` cells and
+// duplicated rows so distances 0 and m both occur.
+TEST(DistanceOracleTest, KthNearestDistanceMatchesSortedRow) {
+  for (const ColId m : {1u, 3u, 8u, 255u, 300u}) {
+    Table t = MakeTable(40, m, m);
+    for (ColId c = 0; c < m; c += 3) t.set(5, c, kSuppressedCode);
+    for (ColId c = 0; c < m; ++c) t.set(7, c, t.at(6, c));
+    for (const DistanceOracleOptions options : {DistanceOracleOptions{},
+                                                kOnDemand}) {
+      const auto oracle = DistanceOracle::Create(t, options, nullptr);
+      ASSERT_TRUE(oracle.ok());
+      EXPECT_EQ((*oracle)->dense(), options.dense_threshold != 0 && m <= 255);
+      for (RowId r = 0; r < t.num_rows(); ++r) {
+        std::vector<ColId> others;
+        for (RowId x = 0; x < t.num_rows(); ++x) {
+          if (x != r) others.push_back(RowDistance(t, r, x));
+        }
+        std::sort(others.begin(), others.end());
+        for (const RowId j : {RowId{1}, RowId{2}, t.num_rows() - 1}) {
+          EXPECT_EQ((*oracle)->KthNearestDistance(r, j), others[j - 1])
+              << "m=" << m << " row=" << r << " j=" << j;
+        }
+      }
     }
   }
 }

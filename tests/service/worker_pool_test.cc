@@ -219,14 +219,15 @@ TEST(WorkerPoolTest, HeuristicCutByItsDeadlineSliceIsNotCached) {
   ResultCache cache(8);
   WorkerPool pool(&queue, &cache, {.workers = 1});
 
-  // 1024x8: branch_bound declines structurally (a budget latch), then
+  // 2048x8: branch_bound declines structurally (a budget latch), then
   // the heuristic's O(n^2 m) scans outrun their half of the 50 ms
   // deadline although the job's own deadline has not tripped yet. The
-  // answer is this request's artifact, reported as such.
+  // answer is this request's artifact, reported as such. (At 1024 rows
+  // the heuristic takes about 45 ms, too close to its 25 ms slice.)
   const auto large = [] {
     Rng rng(17);
     return UniformTable(
-        {.num_rows = 1024, .num_columns = 8, .alphabet = 4}, &rng);
+        {.num_rows = 2048, .num_columns = 8, .alphabet = 4}, &rng);
   };
   AnonymizeRequest request = RequestFor(large(), 5);
   request.deadline_ms = 50.0;
